@@ -58,20 +58,15 @@
 //	hostB$ sweep -mode chunk -shard 1/2 -checkpoint b.jsonl
 //	hostA$ sweep -mode chunk -merge a.jsonl,b.jsonl
 //
-// The default partition balances scenario counts; -shard-weighted
-// partitions by a per-scenario cost estimate instead (flows × horizon in
-// flow mode, chunks × transfers in chunk mode, assigned greedily
-// longest-first), so heterogeneous grids split by predicted wall-clock.
-// Every host must pass the same flags; the resulting checkpoints merge
-// exactly like hash-partitioned ones.
-//
-// The sweep service replaces static shards with lease-based work
-// stealing (see internal/sweepd): -mode serve starts a coordinator on
-// -listen that expands the grid once, leases batches of -batch scenarios
-// with a -lease-ttl heartbeat-renewed TTL, persists every result to its
-// -checkpoint (always resuming from it at startup), and renders the
-// final table itself; -mode work starts a thin worker against
-// -coordinator URL. Both sides pick the grid family with -grid flow|chunk
+// The partition hashes each scenario's identity, so it balances scenario
+// counts, not cost. Grids whose scenarios differ widely in cost are
+// better served by the sweep service, which replaces static shards with
+// lease-based work stealing (see internal/sweepd): -mode serve starts a
+// coordinator on -listen that expands the grid once, leases batches of
+// -batch scenarios with a -lease-ttl heartbeat-renewed TTL, persists
+// every result to its -checkpoint (always resuming from it at startup),
+// and renders the final table itself; -mode work starts a thin worker
+// against -coordinator URL. Both sides pick the grid family with -grid flow|chunk
 // and must be given identical grid flags — the configuration label is
 // verified on every lease and submission:
 //
@@ -81,7 +76,10 @@
 //
 // Output is byte-identical to the single-host run at any worker count,
 // lease order or re-lease history; the coordinator's mux also serves
-// GET /state, /aggregate, /percentile, /metrics and /snapshot.
+// GET /state, /aggregate, /percentile?metric=NAME&p=P (P on a 0–100
+// scale), /metrics and /snapshot. The live /aggregate and /percentile
+// views fold what has finished so far through the same -agg accumulator
+// as the final table.
 //
 // Every run is instrumented through internal/obs. -metrics ADDR serves
 // live snapshots of the shared registry over HTTP while the sweep runs
@@ -152,14 +150,13 @@ func main() {
 	sketchEps := flag.Float64("sketch-eps", 0, "sketch rank-error fraction (0 = default 0.01)")
 	aggBudget := flag.Int64("agg-budget", 0, "auto aggregation: pooled raw-sample budget before the sketch cutover (0 = default 2^20)")
 	shardStr := flag.String("shard", "", "run only shard i/n of the grid (0-based, e.g. 0/3); combine shard checkpoints with -merge")
-	shardWeighted := flag.Bool("shard-weighted", false, "partition -shard by per-scenario cost (greedy LPT: flows×horizon in flow mode, chunks×transfers in chunk mode) instead of the identity hash, balancing predicted wall-clock across heterogeneous grids")
 	mergeList := flag.String("merge", "", "merge shard checkpoint files (comma-separated JSONL paths) instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 
 	// Sweep-service flags (-mode serve|work).
 	gridFlag := flag.String("grid", "flow", "serve/work: grid family to expand (flow|chunk); the grid axes flags apply as usual")
-	listenAddr := flag.String("listen", "127.0.0.1:8377", "serve: coordinator listen address (lease protocol + /state /aggregate /metrics)")
+	listenAddr := flag.String("listen", "127.0.0.1:8377", "serve: coordinator listen address (lease protocol + /state /aggregate /percentile /metrics /snapshot)")
 	coordURL := flag.String("coordinator", "", "work: coordinator base URL (e.g. http://host:8377)")
 	batch := flag.Int("batch", 0, "serve: scenarios per lease (0 = 8); work: cap on scenarios per lease request")
 	leaseTTL := flag.Duration("lease-ttl", 0, "serve: lease time-to-live between heartbeats; expired leases re-queue (0 = 1m)")
@@ -254,7 +251,6 @@ func main() {
 	var (
 		scenarios []sweep.Scenario
 		label     string
-		costFn    sweep.CostFunc
 	)
 	switch gridMode {
 	case "flow":
@@ -269,11 +265,6 @@ func main() {
 		})
 		label = fmt.Sprintf("flow capacity=%s demand=%s size=%s lambda=%g horizon=%s",
 			*capStr, *demandStr, *sizeStr, *lambda, *horizon)
-		horizonSecs := horizon.Seconds()
-		costFn = func(sc sweep.Scenario) float64 {
-			n, _ := strconv.Atoi(sc.Point.Get("flows"))
-			return float64(n) * horizonSecs
-		}
 	case "chunk":
 		if *horizon == 0 {
 			*horizon = 5 * time.Second
@@ -303,11 +294,6 @@ func main() {
 		if *detourRateStr != "" {
 			label += fmt.Sprintf(" detour=%s", *detourRateStr)
 		}
-		chunksPer := float64(*chunks)
-		costFn = func(sc sweep.Scenario) float64 {
-			transfers, _ := strconv.Atoi(sc.Point.Get("transfers"))
-			return chunksPer * float64(transfers)
-		}
 	default:
 		fatal(fmt.Errorf("unknown grid %q (known: flow, chunk)", gridMode))
 	}
@@ -318,21 +304,6 @@ func main() {
 		if shard, err = sweep.ParseShard(*shardStr); err != nil {
 			fatal(err)
 		}
-	}
-	// The partition in effect: the identity-hash shard by default, the
-	// cost-balanced LPT assignment with -shard-weighted.
-	var part sweep.Partitioner = shard
-	shardLabel := shard.String()
-	if *shardWeighted {
-		if *shardStr == "" {
-			fatal(fmt.Errorf("-shard-weighted requires -shard i/n"))
-		}
-		ws, err := sweep.ShardWeighted(shard.Index, shard.Count, scenarios, costFn)
-		if err != nil {
-			fatal(err)
-		}
-		part = ws
-		shardLabel = ws.String()
 	}
 
 	aggMode, err := sweep.ParseAggMode(*aggStr)
@@ -365,7 +336,7 @@ func main() {
 			newAccumulator: newAccumulator,
 			format:         *format,
 			metricsList:    *metricsList,
-			tableTitle:     title(scenarios, *replicas, *seed, "", 1, 0),
+			tableTitle:     title(scenarios, *replicas, *seed, sweep.Shard{}),
 			linger:         *metricsLinger,
 			quiet:          *quiet,
 			reg:            reg,
@@ -402,12 +373,12 @@ func main() {
 		if err := sweep.MergeCheckpointsInto(acc, label, scenarios, split(*mergeList)...); err != nil {
 			fatal(err)
 		}
-		render(*format, *metricsList, title(scenarios, *replicas, *seed, "", 1, 0), acc)
+		render(*format, *metricsList, title(scenarios, *replicas, *seed, sweep.Shard{}), acc)
 		stopProfiles()
 		return
 	}
 
-	runner := &sweep.Runner{Workers: *workers, Shard: shard, Partition: part, Obs: reg}
+	runner := &sweep.Runner{Workers: *workers, Shard: shard, Obs: reg}
 	if !*quiet {
 		runner.Progress = func(done, total int, r sweep.Result) {
 			status := "ok"
@@ -442,7 +413,7 @@ func main() {
 		_, failed, err = runner.ResumeCheckpointAccumulate(context.Background(), *checkpointPath, label, scenarios, acc,
 			func(restored int) {
 				fmt.Fprintf(os.Stderr, "sweep: restored %d/%d scenarios from %s\n",
-					restored, len(part.Select(scenarios)), *checkpointPath)
+					restored, len(shard.Select(scenarios)), *checkpointPath)
 			})
 	} else {
 		failed, err = runner.Accumulate(context.Background(), scenarios, acc)
@@ -460,14 +431,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", r.Err)
 	}
 
-	render(*format, *metricsList, title(scenarios, *replicas, *seed, shardLabel, shard.Count, len(part.Select(scenarios))), acc)
+	render(*format, *metricsList, title(scenarios, *replicas, *seed, shard), acc)
 	stopProfiles()
 	if *metricsAddr != "" && *metricsLinger > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: metrics serving final snapshot for %s\n", *metricsLinger)
 		time.Sleep(*metricsLinger)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d scenarios failed\n", len(failed), len(part.Select(scenarios)))
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d scenarios failed\n", len(failed), len(shard.Select(scenarios)))
 		os.Exit(1)
 	}
 }
@@ -556,8 +527,8 @@ func stopProfiles() {
 
 // title renders the table heading. A sharded run labels itself and its
 // slice size; merged and unsharded runs must produce identical bytes, so
-// they share the zero-shard form (shardCount ≤ 1).
-func title(scenarios []sweep.Scenario, replicas int, seed int64, shardLabel string, shardCount, selected int) string {
+// they share the zero-shard form (Count ≤ 1).
+func title(scenarios []sweep.Scenario, replicas int, seed int64, shard sweep.Shard) string {
 	rep := replicas
 	if rep < 1 {
 		rep = 1 // mirrors Grid.Expand's floor
@@ -566,11 +537,11 @@ func title(scenarios []sweep.Scenario, replicas int, seed int64, shardLabel stri
 	// mode collapses redundant baseline cells after expansion.
 	base := fmt.Sprintf("Scenario sweep — %d scenarios, %d points, seed %d",
 		len(scenarios), len(scenarios)/rep, seed)
-	if shardCount <= 1 {
+	if shard.Count <= 1 {
 		return base
 	}
 	return fmt.Sprintf("%s — shard %s (%d scenarios here)",
-		base, shardLabel, selected)
+		base, shard, len(shard.Select(scenarios)))
 }
 
 // render writes the accumulator's aggregates in the requested format.

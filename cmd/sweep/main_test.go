@@ -315,56 +315,6 @@ func TestSweepShardMerge(t *testing.T) {
 
 // TestSweepResumeRequiresCheckpoint: -resume without -checkpoint must
 // fail fast, before any simulation work.
-// TestSweepShardWeightedMerge runs the shard grid as two cost-weighted
-// shards and merges them: the LPT partition must cover the grid exactly
-// once and the merged bytes must match the unsharded run — the same
-// contract TestSweepShardMerge pins for the identity-hash partition.
-func TestSweepShardWeightedMerge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process shard/merge run")
-	}
-	bin := buildSweep(t)
-	dir := t.TempDir()
-
-	// Use a faster variant of the shard grid: weighted sharding changes
-	// who runs what, not the physics, so a small grid suffices.
-	args := func(extra ...string) []string {
-		base := []string{
-			"-mode", "chunk",
-			"-transports", "inrpp,aimd",
-			"-anticipations", "512",
-			"-custody", "50MB",
-			"-transfers", "1,2",
-			"-ingress", "2Gbps", "-egress", "1Gbps",
-			"-chunksize", "10KB", "-chunks", "5000",
-			"-buffer", "1MB",
-			"-horizon", "2s",
-			"-replicas", "2",
-			"-seed", "11",
-			"-q",
-		}
-		return append(base, extra...)
-	}
-
-	golden, _ := runSweep(t, bin, args()...)
-
-	shardCPs := make([]string, 2)
-	for i := range shardCPs {
-		shardCPs[i] = filepath.Join(dir, fmt.Sprintf("wshard%d.jsonl", i))
-		runSweep(t, bin, args("-shard", fmt.Sprintf("%d/2", i), "-shard-weighted",
-			"-checkpoint", shardCPs[i])...)
-	}
-	out, _ := runSweep(t, bin, args("-merge", strings.Join(shardCPs, ","))...)
-	if out != golden {
-		t.Errorf("merged weighted-shard table differs from unsharded run:\n%s\n--- vs ---\n%s", out, golden)
-	}
-
-	// -shard-weighted without -shard is an error.
-	if raw, err := exec.Command(bin, args("-shard-weighted")...).CombinedOutput(); err == nil {
-		t.Fatalf("-shard-weighted without -shard succeeded:\n%s", raw)
-	}
-}
-
 func TestSweepResumeRequiresCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")

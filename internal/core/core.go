@@ -16,9 +16,12 @@
 //     the notification propagates toward the sender, which falls back to a
 //     closed loop (1-to-1 flow balance).
 //
-// The package is pure protocol logic with no event loop of its own: the
-// flow-level simulator (internal/flowsim) and the chunk-level simulator
-// (internal/chunknet) both build on it.
+// The package is pure protocol logic with no event loop of its own. The
+// flow-level simulator (internal/flowsim) takes its detour Planner; the
+// chunk-level simulator (internal/chunknet) drives the per-interface
+// Estimator and Interface phase machine and the receiver's request
+// Window. Sender-side processor sharing, the sender's closed loop and the
+// upstream back-pressure rule live in internal/chunknet itself.
 package core
 
 import (

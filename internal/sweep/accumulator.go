@@ -88,15 +88,15 @@ type AccumulatorConfig struct {
 // results no matter the arrival schedule. Results that arrive ahead of the
 // cursor wait in a pending set of shallow Result copies (metric maps stay
 // shared with the caller's values, not duplicated); in a live run its size
-// tracks the completion skew of the moment (≈ in-flight scenarios). A
-// prior-slice resume (Runner.ResumeAccumulate) parks restored results
-// behind the first re-running gap there; the streaming checkpoint resume
-// (Runner.ResumeCheckpointAccumulate) leaves them on disk instead and
-// feeds each one exactly when the cursor reaches it.
+// tracks the completion skew of the moment (≈ in-flight scenarios). The
+// checkpoint resume (Runner.ResumeCheckpointAccumulate) leaves restored
+// results on disk and feeds each one exactly when the cursor reaches it,
+// so they never park.
 //
-// Observe is safe for concurrent use; the Runner's Accumulate/
-// ResumeAccumulate drive it from the worker pool, and MergeCheckpointsInto
-// drives it from shard checkpoint files in scenario order.
+// Observe is safe for concurrent use; Runner.Accumulate and
+// Runner.ResumeCheckpointAccumulate drive it from the worker pool,
+// MergeCheckpointsInto and the sweepd coordinator drive it in scenario
+// order.
 type Accumulator struct {
 	mode     AggMode
 	eps      float64

@@ -301,17 +301,18 @@ func TestAccumulatorResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatal("cancel interrupted nothing; cannot exercise resume")
 		}
 
-		prior, _, err := LoadCheckpoint(path, "prop", scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
+		interruptedCount := len(failed)
 		acc := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-		failed, err = (&Runner{Workers: 4}).ResumeAccumulate(context.Background(), scenarios, prior, acc)
+		restored, failed, err := (&Runner{Workers: 4}).ResumeCheckpointAccumulate(
+			context.Background(), path, "prop", scenarios, acc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(failed) != 0 {
 			t.Fatalf("resume left failures: %v", failed)
+		}
+		if restored != len(scenarios)-interruptedCount {
+			t.Errorf("mode=%s: restored %d, want the %d that finished", mode, restored, len(scenarios)-interruptedCount)
 		}
 		aggs, err := acc.Aggregates()
 		if err != nil {

@@ -13,7 +13,8 @@ import (
 
 // ErrNotRun marks a scenario with no checkpointed result yet. Results
 // returned by LoadCheckpoint carry it for every scenario absent from the
-// file, so Runner.Resume executes exactly those.
+// file; like ErrOtherShard, it marks a result Skipped, so aggregation
+// ignores it.
 var ErrNotRun = errors.New("sweep: scenario not yet run")
 
 // maxCheckpointLine bounds one checkpoint record's line length (64 MiB ≈
@@ -219,8 +220,8 @@ func (c *Checkpoint) Close() error {
 // LoadCheckpoint reads a checkpoint file and aligns its records to the
 // given scenario list, returning one Result per scenario in scenario
 // order: checkpointed scenarios carry their persisted metrics, the rest
-// carry ErrNotRun — exactly the shape Runner.Resume patches. The second
-// return is the number of scenarios restored.
+// carry ErrNotRun — the restore state the sweepd coordinator starts
+// from. The second return is the number of scenarios restored.
 //
 // The file may be from a process killed mid-write (a torn final line is
 // skipped) and may hold records in any completion order. Three checks

@@ -17,18 +17,21 @@
 //   - Order independence: results are reported in scenario order regardless
 //     of which worker finished first.
 //   - Durability: a Checkpoint streams completed results to a JSONL file
-//     as they finish, and LoadCheckpoint aligns that file back onto a
-//     freshly expanded scenario list — so even a SIGKILLed process can
-//     restart, run only what is missing, and emit the same bytes as an
-//     uninterrupted run.
+//     as they finish, and Runner.ResumeCheckpointAccumulate aligns that
+//     file back onto a freshly expanded scenario list — so even a
+//     SIGKILLed process can restart, run only what is missing, and emit
+//     the same bytes as an uninterrupted run.
 //   - Shard invariance: a Shard deterministically partitions the expanded
 //     grid by a hash of each scenario's identity, so N machines can each
 //     run one slice (Runner.Shard) against standard checkpoints, and
-//     MergeCheckpoints recombines the N files — validating same
+//     MergeCheckpointsInto recombines the N files — validating same
 //     grid/master-seed/config, rejecting overlaps, naming gaps — into
-//     output byte-identical to an unsharded run at any shard count.
+//     output byte-identical to an unsharded run at any shard count. The
+//     sweepd service replaces static shards with lease-based work
+//     stealing over the same checkpoint format.
 //   - Bounded aggregation: an Accumulator folds results into per-point
-//     aggregates as workers finish (Runner.Accumulate, or record-at-a-time
+//     aggregates as workers finish (Runner.Accumulate, restored records
+//     from disk via Runner.ResumeCheckpointAccumulate, or record-at-a-time
 //     from shard files via MergeCheckpointsInto), reordered behind a
 //     cursor so streaming changes memory, never bytes. AggExact keeps raw
 //     samples; AggSketch swaps the sample pools for bounded quantile

@@ -77,30 +77,39 @@ func ExampleGrid_Expand() {
 }
 
 // ExampleCheckpoint shows the durability lifecycle: a first process
-// streams completed scenarios to a JSONL checkpoint; after a crash (or
-// SIGKILL), a second process re-expands the same grid, restores the file
-// with LoadCheckpoint, and Resume executes only what is missing — here,
-// nothing. The rendered output is byte-identical to an uninterrupted run.
+// streams completed scenarios to a JSONL checkpoint and is killed halfway;
+// a second process re-expands the same grid, and ResumeCheckpointAccumulate
+// restores what the file covers and executes only what is missing. The
+// rendered output is byte-identical to an uninterrupted run.
 func ExampleCheckpoint() {
 	dir, _ := os.MkdirTemp("", "sweep-example")
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "run.jsonl")
 	scenarios := exampleScenarios()
+	cfg := sweep.AccumulatorConfig{Mode: sweep.AggExact}
 
 	// Process 1: run with a checkpoint; every completed scenario is
-	// flushed to disk before the sweep moves on.
+	// flushed to disk before the sweep moves on. One worker makes the
+	// "kill" after four scenarios land at the same point every time.
+	ctx, kill := context.WithCancel(context.Background())
 	cp, _ := sweep.NewCheckpoint(path, "demo config")
-	runner := &sweep.Runner{Workers: 2, Progress: cp.Progress(nil)}
-	runner.Run(context.Background(), scenarios)
+	runner := &sweep.Runner{Workers: 1, Progress: cp.Progress(func(done, _ int, _ sweep.Result) {
+		if done == 4 {
+			kill()
+		}
+	})}
+	runner.Accumulate(ctx, scenarios, sweep.NewAccumulator(cfg, scenarios))
 	cp.Close()
 
-	// Process 2 (after a kill): restore from disk, run only the rest.
-	restored, n, _ := sweep.LoadCheckpoint(path, "demo config", scenarios)
-	fmt.Printf("restored %d/%d scenarios\n", n, len(scenarios))
-	results := (&sweep.Runner{Workers: 2}).Resume(context.Background(), scenarios, restored)
-	sweep.Table("resumed sweep", sweep.Aggregated(results), "throughput").Render(os.Stdout)
+	// Process 2: restore from disk, run only the rest.
+	acc := sweep.NewAccumulator(cfg, scenarios)
+	resumer := &sweep.Runner{Workers: 2}
+	restored, _, _ := resumer.ResumeCheckpointAccumulate(context.Background(), path, "demo config", scenarios, acc, nil)
+	fmt.Printf("restored %d/%d scenarios\n", restored, len(scenarios))
+	aggs, _ := acc.Aggregates()
+	sweep.Table("resumed sweep", aggs, "throughput").Render(os.Stdout)
 	// Output:
-	// restored 8/8 scenarios
+	// restored 4/8 scenarios
 	// resumed sweep
 	// load  policy  replicas  throughput
 	// -------------------------------------
@@ -110,14 +119,16 @@ func ExampleCheckpoint() {
 	// 20    inrp    2         25.500 ±0.707
 }
 
-// ExampleMergeCheckpoints shows the distributed lifecycle: two "hosts"
+// ExampleMergeCheckpointsInto shows the distributed lifecycle: two "hosts"
 // each run one Shard of the same grid against a standard checkpoint, and
-// MergeCheckpoints recombines the files — validating that they cover the
-// grid exactly once — into output byte-identical to an unsharded run.
-func ExampleMergeCheckpoints() {
+// MergeCheckpointsInto folds the files into one accumulator — validating
+// that they cover the grid exactly once — for output byte-identical to an
+// unsharded run.
+func ExampleMergeCheckpointsInto() {
 	dir, _ := os.MkdirTemp("", "sweep-example")
 	defer os.RemoveAll(dir)
 	scenarios := exampleScenarios()
+	cfg := sweep.AccumulatorConfig{Mode: sweep.AggExact}
 
 	// Each host runs its slice of the grid (host i: -shard i/2).
 	var paths []string
@@ -129,18 +140,19 @@ func ExampleMergeCheckpoints() {
 			Shard:    sweep.Shard{Index: i, Count: 2},
 			Progress: cp.Progress(nil),
 		}
-		r.Run(context.Background(), scenarios)
+		r.Accumulate(context.Background(), scenarios, sweep.NewAccumulator(cfg, scenarios))
 		cp.Close()
 		paths = append(paths, path)
 	}
 
 	// One host gathers the checkpoint files and merges.
-	results, err := sweep.MergeCheckpoints("demo config", scenarios, paths...)
-	if err != nil {
+	acc := sweep.NewAccumulator(cfg, scenarios)
+	if err := sweep.MergeCheckpointsInto(acc, "demo config", scenarios, paths...); err != nil {
 		fmt.Println(err)
 		return
 	}
-	sweep.Table("merged sweep", sweep.Aggregated(results), "throughput").Render(os.Stdout)
+	aggs, _ := acc.Aggregates()
+	sweep.Table("merged sweep", aggs, "throughput").Render(os.Stdout)
 	// Output:
 	// merged sweep
 	// load  policy  replicas  throughput

@@ -16,7 +16,7 @@ import (
 
 // Progress is invoked after each scenario finishes (success, failure or
 // cancellation). done counts finished scenarios including this one; total
-// is the number of scenarios this Run or Resume call is executing. Calls
+// is the number of scenarios this Runner call is executing. Calls
 // are serialised by the runner but arrive in completion order, which
 // depends on scheduling — do not derive results from it.
 type Progress func(done, total int, r Result)
@@ -30,13 +30,10 @@ type Runner struct {
 	Progress Progress
 	// Shard, when non-zero, restricts execution to the scenarios this
 	// shard owns (see Shard), so a grid can be split across machines: Run
-	// returns other shards' results carrying ErrOtherShard, Resume never
-	// re-runs them, and Progress counts only this shard's scenarios.
+	// and Accumulate mark other shards' results with ErrOtherShard,
+	// ResumeCheckpointAccumulate never re-runs or restores them, and
+	// Progress counts only this shard's scenarios.
 	Shard Shard
-	// Partition, when non-nil, overrides Shard with an arbitrary
-	// partitioner — e.g. a cost-balanced WeightedShard. All shard
-	// semantics above apply unchanged.
-	Partition Partitioner
 	// Obs, when non-nil, binds sweep-level metrics to the registry:
 	// counters sweep_scenarios_scheduled / _completed / _failed,
 	// sweep_busy_ns (summed scenario wall time) and per-worker
@@ -45,19 +42,12 @@ type Runner struct {
 	Obs *obs.Registry
 }
 
-// owns reports whether this runner's partition slice owns the scenario.
-func (r *Runner) owns(sc Scenario) bool {
-	if r.Partition != nil {
-		return r.Partition.Contains(sc)
-	}
-	return r.Shard.Contains(sc)
-}
-
 // Run executes the scenarios and returns one Result per scenario, in
 // scenario order regardless of completion order. A scenario that returns an
 // error (or panics) is captured in its Result; the sweep continues. When
 // ctx is cancelled, not-yet-started scenarios complete immediately with
-// ctx's error — use Resume to finish them later. Scenarios already running
+// ctx's error; a Checkpoint does not record those, so
+// ResumeCheckpointAccumulate re-runs them later. Scenarios already running
 // see the cancellation through the ctx passed to their RunFunc; one that
 // never re-checks it (the shipped simulators are single-shot) runs to
 // completion first, so cancellation latency is bounded by the longest
@@ -67,7 +57,7 @@ func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 	results := make([]Result, len(scenarios))
 	indices := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			results[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard}
 			continue
 		}
@@ -89,7 +79,7 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 	ro := &resultObserver{acc: acc}
 	indices := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
 			continue
 		}
@@ -99,42 +89,14 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 	return ro.done()
 }
 
-// ResumeAccumulate is Resume on the streaming path: prior results without
-// an error feed acc as restored scenarios, errored ones (typically
-// ErrNotRun placeholders from LoadCheckpoint, or context.Canceled from an
-// interrupted run) re-execute, and — with Shard set — scenarios outside the
-// shard are observed as ErrOtherShard whatever their prior state. The
-// return values are those of Accumulate.
-func (r *Runner) ResumeAccumulate(ctx context.Context, scenarios []Scenario, prior []Result, acc *Accumulator) ([]Result, error) {
-	if len(prior) != len(scenarios) {
-		panic(fmt.Sprintf("sweep: ResumeAccumulate with %d results for %d scenarios", len(prior), len(scenarios)))
-	}
-	ro := &resultObserver{acc: acc}
-	var pending []int
-	for i, res := range prior {
-		sc := scenarios[i]
-		if !r.owns(sc) {
-			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
-			continue
-		}
-		if res.Err != nil {
-			pending = append(pending, i)
-			continue
-		}
-		ro.observe(i, res)
-	}
-	r.run(ctx, scenarios, pending, ro.observe)
-	return ro.done()
-}
-
 // ResumeCheckpointAccumulate is the streaming resume: it byte-offset-
 // indexes the checkpoint file's records, executes only the scenarios the
 // file does not cover, and feeds each restored record straight from disk
 // into acc the moment the fold cursor reaches it — never materialising
 // the restored []Result, so a sketch-mode resume of an arbitrarily large
-// checkpoint aggregates in bounded memory (the prior-slice
-// ResumeAccumulate necessarily peaks at the caller's restored pool). A
-// missing file runs everything, like LoadCheckpoint; validation is
+// checkpoint aggregates in bounded memory. A Checkpoint never records
+// failed or cancelled scenarios, so those re-run; with Shard set, scenarios outside the shard are observed as
+// ErrOtherShard whether or not the file records them. A missing file runs everything, like LoadCheckpoint; validation is
 // LoadCheckpoint's, record for record. It returns the restored-scenario
 // count alongside Accumulate's results; onRestored, when non-nil, receives
 // that count after indexing but before any scenario executes, so a CLI can
@@ -176,7 +138,7 @@ func (r *Runner) ResumeCheckpointAccumulate(ctx context.Context, path, label str
 	restored := 0
 	var pending, restorable []int
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
 			continue
 		}
@@ -256,8 +218,8 @@ func (o *resultObserver) fail(err error) {
 	}
 }
 
-// done returns the failed results in scenario order — matching the order
-// Errored reports on the batch path — plus the first captured error.
+// done returns the failed results in scenario order — the order Errored
+// reports over Run's results — plus the first captured error.
 func (o *resultObserver) done() ([]Result, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -276,38 +238,10 @@ type indexedResult struct {
 	res Result
 }
 
-// Resume re-executes exactly the scenarios whose previous Result carries an
-// error (typically context.Canceled from an interrupted Run, or ErrNotRun
-// from LoadCheckpoint) and returns a patched copy of results. Successful
-// results are untouched, so a cancel/resume pair yields the same result set
-// as one uninterrupted run. With Shard set, every scenario outside the
-// shard — restored or pending — comes back as ErrOtherShard: a checkpoint
-// recorded under a different shard split (or none) must not leak foreign
-// scenarios into this slice's output.
-func (r *Runner) Resume(ctx context.Context, scenarios []Scenario, results []Result) []Result {
-	if len(results) != len(scenarios) {
-		panic(fmt.Sprintf("sweep: Resume with %d results for %d scenarios", len(results), len(scenarios)))
-	}
-	patched := append([]Result(nil), results...)
-	var pending []int
-	for i, res := range patched {
-		if !r.owns(scenarios[i]) {
-			sc := scenarios[i]
-			patched[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard}
-			continue
-		}
-		if res.Err != nil {
-			pending = append(pending, i)
-		}
-	}
-	r.run(ctx, scenarios, pending, func(i int, res Result) { patched[i] = res })
-	return patched
-}
-
 // run executes scenarios[i] for each i in indices, handing each completed
 // result to emit. emit is called from the worker goroutines, one call per
-// index, each index exactly once; the batch paths write a result slice, the
-// streaming paths fold into an Accumulator.
+// index, each index exactly once; Run writes a result slice, the streaming
+// paths fold into an Accumulator.
 func (r *Runner) run(ctx context.Context, scenarios []Scenario, indices []int, emit func(i int, res Result)) {
 	workers := r.Workers
 	if workers <= 0 {

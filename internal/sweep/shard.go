@@ -13,13 +13,14 @@ import (
 // ErrOtherShard marks a scenario that belongs to a different shard of a
 // partitioned sweep. Results carrying it were never executed by this
 // process — Aggregated excludes them from both replica and failure
-// counts, and Runner.Resume never re-runs them.
+// counts, and Runner.ResumeCheckpointAccumulate neither re-runs nor
+// restores them.
 var ErrOtherShard = errors.New("sweep: scenario belongs to another shard")
 
 // Shard selects one slice of a deterministic Count-way partition of an
 // expanded scenario grid, so a sweep can be split across machines: each
 // host runs `Shard{Index: i, Count: n}` of the same grid, writes a
-// standard checkpoint, and MergeCheckpoints combines the N files into
+// standard checkpoint, and MergeCheckpointsInto combines the N files into
 // output byte-identical to an unsharded run.
 //
 // A scenario's shard is a hash of its identity — the parameter point in

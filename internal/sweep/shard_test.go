@@ -173,7 +173,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	const label = "prop config"
 	for trial := 0; trial < 4; trial++ {
 		scenarios := randomGrid(rng)
-		golden := renderAll(t, (&Runner{Workers: 4}).Run(context.Background(), scenarios))
+		golden := renderAggs(t, Aggregated((&Runner{Workers: 4}).Run(context.Background(), scenarios)))
 
 		for count := 1; count <= 5; count++ {
 			dir := t.TempDir()
@@ -187,11 +187,15 @@ func TestShardMergeByteIdentical(t *testing.T) {
 					runShard(t, paths[idx], label, scenarios, shard)
 				}
 			}
-			merged, err := MergeCheckpoints(label, scenarios, paths...)
-			if err != nil {
+			merged := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+			if err := MergeCheckpointsInto(merged, label, scenarios, paths...); err != nil {
 				t.Fatalf("trial=%d count=%d: merge: %v", trial, count, err)
 			}
-			if out := renderAll(t, merged); !bytes.Equal(out, golden) {
+			aggs, err := merged.Aggregates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := renderAggs(t, aggs); !bytes.Equal(out, golden) {
 				t.Errorf("trial=%d count=%d: merged output differs from unsharded run:\n%s\n--- vs ---\n%s",
 					trial, count, out, golden)
 			}
@@ -235,30 +239,20 @@ func runShardWithKill(t *testing.T, path, label string, scenarios []Scenario, sh
 		t.Fatal(err)
 	}
 
-	// Second process: fresh load from disk, resume the rest of the shard.
-	loaded, _, err := LoadCheckpoint(path, label, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Second process: resume the rest of the shard from disk.
 	cp2, err := NewCheckpoint(path, label)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := (&Runner{Workers: 2, Shard: shard, Progress: cp2.Progress(nil)}).
-		Resume(context.Background(), scenarios, loaded)
+	resumeRender(t, &Runner{Workers: 2, Shard: shard, Progress: cp2.Progress(nil)}, path, label, scenarios)
 	if err := cp2.Close(); err != nil {
 		t.Fatal(err)
-	}
-	for _, i := range Errored(resumed) {
-		if !Skipped(resumed[i]) {
-			t.Fatalf("shard %v resume left a real failure: %v", shard, resumed[i].Err)
-		}
 	}
 }
 
 // TestMergeCheckpointsFailures: overlapping, foreign, incomplete and
-// missing shard sets must all fail loudly, and the incomplete error must
-// name the missing scenarios.
+// missing shard sets must all fail MergeCheckpointsInto loudly, and the
+// incomplete error must name the missing scenarios.
 func TestMergeCheckpointsFailures(t *testing.T) {
 	const label = "merge config"
 	scenarios := syntheticScenarios(7, 2)
@@ -267,13 +261,16 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	b := filepath.Join(dir, "b.jsonl")
 	runShard(t, a, label, scenarios, Shard{Index: 0, Count: 2})
 	runShard(t, b, label, scenarios, Shard{Index: 1, Count: 2})
+	merge := func(label string, scenarios []Scenario, paths ...string) error {
+		return MergeCheckpointsInto(NewAccumulator(AccumulatorConfig{}, scenarios), label, scenarios, paths...)
+	}
 
-	if _, err := MergeCheckpoints(label, scenarios, a, b); err != nil {
+	if err := merge(label, scenarios, a, b); err != nil {
 		t.Fatalf("complete merge failed: %v", err)
 	}
 
 	// Incomplete: one shard's file missing from the set.
-	_, err := MergeCheckpoints(label, scenarios, a)
+	err := merge(label, scenarios, a)
 	var inc *IncompleteError
 	if !errors.As(err, &inc) {
 		t.Fatalf("incomplete merge: err = %v, want *IncompleteError", err)
@@ -288,34 +285,35 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	}
 
 	// Overlap: the same scenarios contributed twice.
-	if _, err := MergeCheckpoints(label, scenarios, a, a, b); err == nil ||
+	if err := merge(label, scenarios, a, a, b); err == nil ||
 		!strings.Contains(err.Error(), "overlap") {
 		t.Errorf("overlapping merge: err = %v, want overlap", err)
 	}
 
 	// Foreign: a label from a different configuration.
-	if _, err := MergeCheckpoints("other config", scenarios, a, b); err == nil {
+	if err := merge("other config", scenarios, a, b); err == nil {
 		t.Error("foreign-config merge should fail")
 	}
 	// Foreign: a different master seed changes every derived scenario seed.
-	if _, err := MergeCheckpoints(label, syntheticScenarios(8, 2), a, b); err == nil ||
+	if err := merge(label, syntheticScenarios(8, 2), a, b); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Errorf("foreign-seed merge: err = %v, want seed mismatch", err)
 	}
 
 	// A typo'd path must not read as an empty shard.
-	if _, err := MergeCheckpoints(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
+	if err := merge(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
 		t.Error("merge with a missing file should fail")
 	}
 	// No files at all is an error, not an empty result.
-	if _, err := MergeCheckpoints(label, scenarios); err == nil {
+	if err := merge(label, scenarios); err == nil {
 		t.Error("merge with no files should fail")
 	}
 }
 
-// TestShardRunMarksOtherShards: Run and Resume must mark out-of-shard
-// scenarios with ErrOtherShard, Aggregated must ignore them, and a
-// sharded Resume must never execute another shard's pending work.
+// TestShardRunMarksOtherShards: Run must mark out-of-shard scenarios with
+// ErrOtherShard, Aggregated must ignore them, and a sharded
+// ResumeCheckpointAccumulate must neither execute another shard's pending
+// work nor restore another shard's recorded results.
 func TestShardRunMarksOtherShards(t *testing.T) {
 	scenarios := syntheticScenarios(7, 2)
 	shard := Shard{Index: 0, Count: 3}
@@ -358,46 +356,34 @@ func TestShardRunMarksOtherShards(t *testing.T) {
 		t.Fatalf("aggregated %d replicas (%d failed), want %d (0)", replicas, failed, mine)
 	}
 
-	// Resume from all-pending placeholders runs exactly the shard again.
-	loaded, _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.jsonl"), "", scenarios)
-	if err != nil {
-		t.Fatal(err)
+	// Resume without a checkpoint runs exactly the shard again: nothing
+	// restored, no other shard's scenario executed.
+	var ranNames []string
+	progress := func(_, _ int, r Result) { ranNames = append(ranNames, r.Name) }
+	absent := filepath.Join(t.TempDir(), "absent.jsonl")
+	restored, out := resumeRender(t, &Runner{Workers: 2, Shard: shard, Progress: progress}, absent, "", scenarios)
+	want := renderAggs(t, Aggregated(results))
+	if restored != 0 || len(ranNames) != mine || !bytes.Equal(out, want) {
+		t.Fatalf("resume from nothing: restored %d, ran %d (shard owns %d), output equal to Run's: %v",
+			restored, len(ranNames), mine, bytes.Equal(out, want))
 	}
-	resumed := (&Runner{Workers: 2, Shard: shard}).Resume(context.Background(), scenarios, loaded)
-	for i, r := range resumed {
-		in := shard.Contains(scenarios[i])
-		if in && r.Err != nil {
-			t.Fatalf("in-shard %q not resumed: %v", r.Name, r.Err)
-		}
-		if !in && !errors.Is(r.Err, ErrOtherShard) {
-			t.Fatalf("out-of-shard %q: err = %v, want ErrOtherShard", r.Name, r.Err)
+	for _, name := range ranNames {
+		if !shard.Contains(scenarios[scenarioIndex(t, scenarios, name)]) {
+			t.Fatalf("resume ran out-of-shard scenario %q", name)
 		}
 	}
 
 	// A checkpoint recorded without a shard (or under a different split)
-	// restores successes for out-of-shard scenarios; a sharded Resume
-	// must discard them, not fold foreign scenarios into this slice.
+	// holds successes for out-of-shard scenarios; a sharded resume must
+	// restore only its own, not fold foreign scenarios into this slice.
 	full := filepath.Join(t.TempDir(), "full.jsonl")
 	runShard(t, full, "", scenarios, Shard{}) // unsharded checkpoint
-	restored, n, err := LoadCheckpoint(full, "", scenarios)
-	if err != nil || n != len(scenarios) {
-		t.Fatalf("full restore: n=%d err=%v", n, err)
+	ranNames = nil
+	restored, out = resumeRender(t, &Runner{Workers: 2, Shard: shard, Progress: progress}, full, "", scenarios)
+	if restored != mine || len(ranNames) != 0 {
+		t.Fatalf("sharded resume restored %d and ran %d, shard owns %d", restored, len(ranNames), mine)
 	}
-	resumed = (&Runner{Workers: 2, Shard: shard}).Resume(context.Background(), scenarios, restored)
-	kept := 0
-	for i, r := range resumed {
-		if shard.Contains(scenarios[i]) {
-			if r.Err != nil {
-				t.Fatalf("in-shard %q lost its restored result: %v", r.Name, r.Err)
-			}
-			kept++
-			continue
-		}
-		if !errors.Is(r.Err, ErrOtherShard) {
-			t.Fatalf("foreign restored %q leaked into shard output (err = %v)", r.Name, r.Err)
-		}
-	}
-	if kept != mine {
-		t.Fatalf("sharded resume kept %d results, shard owns %d", kept, mine)
+	if !bytes.Equal(out, want) {
+		t.Fatalf("foreign restored records leaked into shard output:\n%s\n--- vs ---\n%s", out, want)
 	}
 }

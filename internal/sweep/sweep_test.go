@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,18 +182,29 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunCancelResume: a cancelled Run marks its unstarted scenarios with
+// context.Canceled, its checkpoint records only what finished, and a
+// resume from that checkpoint reproduces the uninterrupted output.
 func TestRunCancelResume(t *testing.T) {
 	scenarios := syntheticScenarios(7, 3)
-	golden := renderAll(t, (&Runner{Workers: 4}).Run(context.Background(), scenarios))
+	golden := renderAggs(t, Aggregated((&Runner{Workers: 4}).Run(context.Background(), scenarios)))
 
+	path := filepath.Join(t.TempDir(), "cancel.jsonl")
+	cp, err := NewCheckpoint(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &Runner{Workers: 2, Progress: func(done, total int, res Result) {
+	r := &Runner{Workers: 2, Progress: cp.Progress(func(done, total int, res Result) {
 		if done == 3 {
 			cancel() // interrupt mid-sweep
 		}
-	}}
+	})}
 	partial := r.Run(ctx, scenarios)
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
 	errored := Errored(partial)
 	if len(errored) == 0 {
 		t.Fatal("cancel interrupted nothing; cannot exercise resume")
@@ -203,11 +215,11 @@ func TestRunCancelResume(t *testing.T) {
 		}
 	}
 
-	resumed := (&Runner{Workers: 4}).Resume(context.Background(), scenarios, partial)
-	if len(Errored(resumed)) != 0 {
-		t.Fatalf("resume left errors: %v", Errored(resumed))
+	restored, out := resumeRender(t, &Runner{Workers: 4}, path, "", scenarios)
+	if restored != len(scenarios)-len(errored) {
+		t.Errorf("resume restored %d, want the %d that finished", restored, len(scenarios)-len(errored))
 	}
-	if out := renderAll(t, resumed); !bytes.Equal(out, golden) {
+	if !bytes.Equal(out, golden) {
 		t.Errorf("cancel/resume output differs from uninterrupted run:\n%s\n--- vs ---\n%s",
 			out, golden)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -53,7 +52,7 @@ type Config struct {
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
 	// Agg configures the accumulator the final fold and the live
-	// percentile endpoint use.
+	// /aggregate and /percentile views use.
 	Agg sweep.AccumulatorConfig
 	// Obs, when non-nil, receives the service metrics (leases granted /
 	// expired / outstanding, scenarios done / requeued, record dedups,
@@ -129,6 +128,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.CheckpointPath == "" {
 		return nil, errors.New("sweepd: coordinator needs a checkpoint path")
+	}
+	if cfg.Agg.Eps >= 0.5 {
+		// Fail here, not in the first live query's NewAccumulator.
+		return nil, fmt.Errorf("sweepd: sketch eps %g must be < 0.5", cfg.Agg.Eps)
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
@@ -582,19 +585,31 @@ func (c *Coordinator) State() StateResponse {
 	return st
 }
 
-// liveResults returns the done results in scenario order; for the live
-// aggregate/percentile endpoints, which summarise what has finished so
-// far without waiting for completion.
-func (c *Coordinator) liveResults() []sweep.Result {
+// liveAggregates folds what has finished so far through the accumulator
+// the final fold uses, so a live answer holds the same representation the
+// final table will: scenarios not yet done go in as ErrNotRun
+// placeholders, which aggregation skips. The results are copied under the
+// lock and folded outside it, so a slow query never stalls a submit. It
+// also reports whether the fold holds sketches.
+func (c *Coordinator) liveAggregates() ([]sweep.Aggregate, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]sweep.Result, 0, c.doneCount)
-	for i := range c.results {
+	live := make([]sweep.Result, len(c.scenarios))
+	for i, sc := range c.scenarios {
 		if c.state[i] == stateDone {
-			out = append(out, c.results[i])
+			live[i] = c.results[i]
+		} else {
+			live[i] = sweep.Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: sweep.ErrNotRun}
 		}
 	}
-	return out
+	c.mu.Unlock()
+	acc := sweep.NewAccumulator(c.agg, c.scenarios)
+	for _, res := range live {
+		if err := acc.Observe(res); err != nil {
+			return nil, false, err
+		}
+	}
+	aggs, err := acc.Aggregates()
+	return aggs, acc.Sketched(), err
 }
 
 // Handler returns the coordinator's HTTP mux: the lease protocol (POST
@@ -639,9 +654,12 @@ func (c *Coordinator) Handler() http.Handler {
 // serveAggregate renders the aggregates of everything done so far — the
 // live counterpart of the final table, wrapped with progress counters.
 func (c *Coordinator) serveAggregate(w http.ResponseWriter, r *http.Request) {
-	aggs := sweep.Aggregated(c.liveResults())
+	aggs, _, err := c.liveAggregates()
 	var buf bytes.Buffer
-	if err := sweep.JSON(&buf, aggs); err != nil {
+	if err == nil {
+		err = sweep.JSON(&buf, aggs)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
@@ -656,10 +674,10 @@ func (c *Coordinator) serveAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 // servePercentile answers ?metric=NAME&p=95 per grid point over what has
-// finished so far. In sketch aggregation mode the answer comes from a
-// bounded Greenwald–Khanna sketch fed the pooled samples (the same
-// representation the final sketch-mode fold holds), within its
-// documented rank-error bound; in exact mode it interpolates raw values.
+// finished so far. Exact aggregates interpolate raw values; sketch
+// aggregates (sketch mode, or auto mode past its sample budget) answer
+// from the bounded Greenwald–Khanna sketch, within its documented
+// rank-error bound, and mark each row with sketch=true.
 func (c *Coordinator) servePercentile(w http.ResponseWriter, r *http.Request) {
 	metric := r.URL.Query().Get("metric")
 	if metric == "" {
@@ -669,12 +687,17 @@ func (c *Coordinator) servePercentile(w http.ResponseWriter, r *http.Request) {
 	p := 50.0
 	if ps := r.URL.Query().Get("p"); ps != "" {
 		var err error
-		if p, err = strconv.ParseFloat(ps, 64); err != nil || p < 0 || p > 100 {
+		// Negated so NaN, which fails every comparison, is rejected too.
+		if p, err = strconv.ParseFloat(ps, 64); err != nil || !(p >= 0 && p <= 100) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("sweepd: bad percentile %q", ps)})
 			return
 		}
 	}
-	sketched := c.agg.Mode == sweep.AggSketch
+	aggs, sketched, err := c.liveAggregates()
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	type row struct {
 		Point  map[string]string `json:"point"`
 		Metric string            `json:"metric"`
@@ -682,27 +705,14 @@ func (c *Coordinator) servePercentile(w http.ResponseWriter, r *http.Request) {
 		Value  float64           `json:"value"`
 		Sketch bool              `json:"sketch"`
 	}
-	aggs := sweep.Aggregated(c.liveResults())
 	rows := make([]row, 0, len(aggs))
 	for i := range aggs {
 		a := &aggs[i]
-		v := a.Percentile(metric, p)
-		if sketched {
-			xs, ok := a.Samples[metric]
-			if !ok {
-				xs = a.Series[metric]
-			}
-			sk := stats.NewGKSketch(c.agg.Eps)
-			for _, x := range xs {
-				sk.Add(x)
-			}
-			v = sk.Percentile(p)
-		}
 		pt := map[string]string{}
 		for _, kv := range a.Point {
 			pt[kv.Key] = kv.Value
 		}
-		rows = append(rows, row{Point: pt, Metric: metric, P: p, Value: v, Sketch: sketched})
+		rows = append(rows, row{Point: pt, Metric: metric, P: p, Value: a.Percentile(metric, p), Sketch: sketched})
 	}
 	writeJSON(w, http.StatusOK, rows)
 }

@@ -8,7 +8,7 @@
 // demand. A worker loops lease → run → submit → repeat on the ordinary
 // sweep.Runner machinery; leases are renewed by heartbeat and re-queued
 // when they expire, so a dead or slow worker's batch is simply stolen by
-// whoever asks next — no LPT cost guessing, no hand-run merges. Results
+// whoever asks next — no cost guessing, no hand-run merges. Results
 // stream into the coordinator's own JSONL checkpoint (the standard
 // sweep.Checkpoint format), so a killed coordinator restarts from disk
 // and resumes byte-identically; duplicate submissions from re-leased
@@ -25,6 +25,9 @@
 // The same HTTP mux that serves the lease protocol (POST /lease,
 // /heartbeat, /submit) also serves live progress: GET /state (queue,
 // lease and worker liveness JSON), GET /aggregate (aggregates of the
-// scenarios finished so far, with optional sketch percentile queries)
-// and the internal/obs registry at /metrics and /snapshot.
+// scenarios finished so far), GET /percentile?metric=NAME&p=P (per-point
+// percentile, P on a 0–100 scale, from the same live fold) and the
+// internal/obs registry at /metrics and /snapshot. The live views fold
+// through the accumulator the final table uses, so they answer in the
+// representation (exact or sketch) the final fold will hold.
 package sweepd

@@ -115,18 +115,8 @@ type (
 	SweepCheckpoint = sweep.Checkpoint
 	// SweepShard selects one slice of the deterministic partition of an
 	// expanded scenario grid, so a sweep can be split across machines and
-	// recombined with MergeSweepCheckpoints.
+	// recombined with MergeSweepCheckpointsInto.
 	SweepShard = sweep.Shard
-	// SweepWeightedShard is one slice of a cost-balanced (greedy LPT)
-	// partition — balances predicted wall-clock instead of scenario
-	// counts on heterogeneous grids; build with ShardSweepWeighted.
-	SweepWeightedShard = sweep.WeightedShard
-	// SweepCostFunc estimates a scenario's relative execution cost for
-	// weighted sharding.
-	SweepCostFunc = sweep.CostFunc
-	// SweepPartitioner selects the scenarios one process owns; SweepShard
-	// and SweepWeightedShard both implement it.
-	SweepPartitioner = sweep.Partitioner
 	// SweepAccumulator folds results into per-point aggregates as workers
 	// finish, instead of materialising the full result slice first.
 	SweepAccumulator = sweep.Accumulator
@@ -257,26 +247,11 @@ func RunSweep(ctx context.Context, workers int, scenarios []SweepScenario) []Swe
 	return (&sweep.Runner{Workers: workers}).Run(ctx, scenarios)
 }
 
-// ResumeSweep re-executes exactly the scenarios whose prior result
-// carries an error (a cancelled run, or ErrNotRun placeholders from
-// LoadSweepCheckpoint) and returns the patched result set.
-func ResumeSweep(ctx context.Context, workers int, scenarios []SweepScenario, prior []SweepResult) []SweepResult {
-	return (&sweep.Runner{Workers: workers}).Resume(ctx, scenarios, prior)
-}
-
 // NewSweepCheckpoint opens (or appends to) a JSONL sweep checkpoint. A
 // non-empty label binds the file to the sweep's non-axis configuration;
 // reopening under a different label fails.
 func NewSweepCheckpoint(path, label string) (*SweepCheckpoint, error) {
 	return sweep.NewCheckpoint(path, label)
-}
-
-// LoadSweepCheckpoint aligns a checkpoint file to a scenario list: one
-// result per scenario, restored from disk or marked not-yet-run for
-// ResumeSweep to execute. Files from a different grid, master seed or
-// config label are rejected.
-func LoadSweepCheckpoint(path, label string, scenarios []SweepScenario) ([]SweepResult, int, error) {
-	return sweep.LoadCheckpoint(path, label, scenarios)
 }
 
 // ParseSweepShard parses the "index/count" form (0-based, e.g. "1/3")
@@ -288,31 +263,6 @@ func ParseSweepShard(s string) (SweepShard, error) { return sweep.ParseShard(s) 
 // aggregation), so N machines can each run one slice of the same grid.
 func RunSweepShard(ctx context.Context, workers int, shard SweepShard, scenarios []SweepScenario) []SweepResult {
 	return (&sweep.Runner{Workers: workers, Shard: shard}).Run(ctx, scenarios)
-}
-
-// ShardSweepWeighted builds the deterministic cost-balanced partition of
-// the scenarios (greedy longest-processing-time on the cost estimate)
-// and returns its index-th slice. Weighted shards write the same
-// checkpoints as hash shards and merge identically.
-func ShardSweepWeighted(index, count int, scenarios []SweepScenario, cost SweepCostFunc) (*SweepWeightedShard, error) {
-	return sweep.ShardWeighted(index, count, scenarios, cost)
-}
-
-// RunSweepPartition executes only the scenarios the partition owns —
-// the generalisation of RunSweepShard to any SweepPartitioner, e.g. a
-// SweepWeightedShard.
-func RunSweepPartition(ctx context.Context, workers int, part SweepPartitioner, scenarios []SweepScenario) []SweepResult {
-	return (&sweep.Runner{Workers: workers, Partition: part}).Run(ctx, scenarios)
-}
-
-// MergeSweepCheckpoints combines per-shard checkpoint files into the
-// full result set, in scenario order — validating that every file comes
-// from the same grid, master seed and config label, rejecting
-// overlapping shard sets, and failing with an error naming the missing
-// scenarios when coverage is incomplete. The merged results aggregate to
-// output byte-identical to an unsharded run.
-func MergeSweepCheckpoints(label string, scenarios []SweepScenario, paths ...string) ([]SweepResult, error) {
-	return sweep.MergeCheckpoints(label, scenarios, paths...)
 }
 
 // SweepResultSkipped reports whether a result marks a scenario this
@@ -347,17 +297,22 @@ func AccumulateSweep(ctx context.Context, workers int, scenarios []SweepScenario
 	return (&sweep.Runner{Workers: workers}).Accumulate(ctx, scenarios, acc)
 }
 
-// ResumeAccumulateSweep is AccumulateSweep over a prior result set (a
-// loaded checkpoint, or a cancelled run): restored results feed the
-// accumulator, errored ones re-execute.
-func ResumeAccumulateSweep(ctx context.Context, workers int, scenarios []SweepScenario, prior []SweepResult, acc *SweepAccumulator) ([]SweepResult, error) {
-	return (&sweep.Runner{Workers: workers}).ResumeAccumulate(ctx, scenarios, prior, acc)
+// ResumeSweepCheckpoint is AccumulateSweep resumed from a checkpoint
+// file: records the file covers feed acc straight from disk, the rest
+// execute. Files from a different grid, master seed or config label are
+// rejected; a missing file runs everything. It returns the restored
+// count and the results that ran and failed.
+func ResumeSweepCheckpoint(ctx context.Context, workers int, path, label string, scenarios []SweepScenario, acc *SweepAccumulator) (int, []SweepResult, error) {
+	return (&sweep.Runner{Workers: workers}).ResumeCheckpointAccumulate(ctx, path, label, scenarios, acc, nil)
 }
 
-// MergeSweepCheckpointsInto is the streaming MergeSweepCheckpoints: shard
-// checkpoint records are validated, then re-read one at a time in scenario
-// order and folded into acc, so a sketch-mode merge of arbitrarily many
-// shards aggregates in bounded memory.
+// MergeSweepCheckpointsInto combines per-shard checkpoint files into acc,
+// validating that every file comes from the same grid, master seed and
+// config label, rejecting overlapping shard sets, and failing with an
+// error naming the missing scenarios when coverage is incomplete. Records
+// are re-read one at a time in scenario order, so the aggregates equal an
+// unsharded run's and a sketch-mode merge of arbitrarily many shards
+// aggregates in bounded memory.
 func MergeSweepCheckpointsInto(acc *SweepAccumulator, label string, scenarios []SweepScenario, paths ...string) error {
 	return sweep.MergeCheckpointsInto(acc, label, scenarios, paths...)
 }

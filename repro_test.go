@@ -144,12 +144,16 @@ func TestChunkSweepFacade(t *testing.T) {
 			t.Errorf("%s delivered nothing", r.Name)
 		}
 	}
-	loaded, n, err := LoadSweepCheckpoint(path, label, scenarios)
-	if err != nil || n != len(scenarios) {
-		t.Fatalf("LoadSweepCheckpoint: n=%d err=%v", n, err)
+	acc := NewSweepAccumulator(SweepAccumulatorConfig{Mode: SweepAggExact}, scenarios)
+	n, failed, err := ResumeSweepCheckpoint(context.Background(), 2, path, label, scenarios, acc)
+	if err != nil || n != len(scenarios) || len(failed) != 0 {
+		t.Fatalf("ResumeSweepCheckpoint: n=%d failed=%v err=%v", n, failed, err)
 	}
-	resumed := ResumeSweep(context.Background(), 2, scenarios, loaded)
-	a, b := AggregateSweep(results), AggregateSweep(resumed)
+	b, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := AggregateSweep(results)
 	var liveBuf, restoredBuf bytes.Buffer
 	if err := SweepJSON(&liveBuf, a); err != nil {
 		t.Fatal(err)
