@@ -6,6 +6,10 @@
 //	experiments [-run all|table1|fig4a|fig4b|fig3|custody|disruption|failover]
 //	            [-seeds N] [-horizon 15s] [-format table|csv] [-quick]
 //
+// Unknown -run or -format values exit non-zero with the known list.
+// Under -format csv only the tables go to stdout; progress and
+// calibration lines go to stderr.
+//
 // disruption — the link-churn experiment (completion time vs outage rate
 // per transport) — runs only when named: its default scale sweeps 12 grid
 // cells × seeds at a 60s horizon. -quick shrinks it to seconds.
@@ -20,6 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/chunknet"
@@ -29,6 +35,12 @@ import (
 	"repro/internal/units"
 )
 
+// runs and formats are the accepted -run and -format values.
+var (
+	runs    = []string{"all", "table1", "fig4a", "fig4b", "fig3", "custody", "disruption", "failover"}
+	formats = []string{"table", "csv"}
+)
+
 func main() {
 	run := flag.String("run", "all", "experiment to run: all|table1|fig4a|fig4b|fig3|custody|disruption|failover (disruption and failover only when named)")
 	seeds := flag.Int("seeds", 3, "workload seeds for fig4")
@@ -36,7 +48,19 @@ func main() {
 	format := flag.String("format", "table", "output format: table|csv")
 	quick := flag.Bool("quick", false, "reduced fig4/custody scale for a fast pass")
 	flag.Parse()
+	if !slices.Contains(runs, *run) {
+		fatal(fmt.Errorf("unknown -run %q (known: %s)", *run, strings.Join(runs, ", ")))
+	}
+	if !slices.Contains(formats, *format) {
+		fatal(fmt.Errorf("unknown -format %q (known: %s)", *format, strings.Join(formats, ", ")))
+	}
 
+	// Prose around the tables (progress, calibration, CDF points) goes to
+	// stderr under -format csv, so stdout stays parseable CSV.
+	notes := os.Stdout
+	if *format == "csv" {
+		notes = os.Stderr
+	}
 	emit := func(t *report.Table) {
 		var err error
 		if *format == "csv" {
@@ -58,7 +82,7 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.Table1Report(rows))
-		fmt.Printf("max per-class calibration error: %.2f%%\n\n", 100*experiments.MaxAbsError(rows))
+		fmt.Fprintf(notes, "max per-class calibration error: %.2f%%\n\n", 100*experiments.MaxAbsError(rows))
 	}
 
 	if wantFig4 {
@@ -71,7 +95,7 @@ func main() {
 			cfg.Horizon = 8 * time.Second
 			cfg.Seeds = 1
 		}
-		fmt.Println("running fig4 (this sweeps 3 policies × seeds × topologies)...")
+		fmt.Fprintln(notes, "running fig4 (this sweeps 3 policies × seeds × topologies)...")
 		res, err := experiments.Fig4(cfg)
 		if err != nil {
 			fatal(err)
@@ -82,12 +106,12 @@ func main() {
 		if *run == "all" || *run == "fig4b" {
 			emit(experiments.Fig4bReport(res))
 			for _, r := range res {
-				fmt.Printf("# CDF points — %s\n", r.ISP)
+				fmt.Fprintf(notes, "# CDF points — %s\n", r.ISP)
 				for _, p := range experiments.Fig4bCurve(r, 12) {
-					fmt.Printf("  stretch=%.3f F=%.3f\n", p.X, p.F)
+					fmt.Fprintf(notes, "  stretch=%.3f F=%.3f\n", p.X, p.F)
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(notes)
 		}
 	}
 
@@ -137,7 +161,7 @@ func main() {
 				Seeds:      2,
 			}
 		}
-		fmt.Println("running disruption (outage rate × transport × seeds on the churned custody chain)...")
+		fmt.Fprintln(notes, "running disruption (outage rate × transport × seeds on the churned custody chain)...")
 		r, err := experiments.Disruption(cfg)
 		if err != nil {
 			fatal(err)
@@ -152,7 +176,7 @@ func main() {
 			cfg.Custodies = []units.ByteSize{32 * units.MB}
 			cfg.Strategies = []chunknet.FailoverMode{chunknet.FailoverHold, chunknet.FailoverReroute}
 		}
-		fmt.Println("running failover (failure profile × correlation × custody × strategy on the custody diamond)...")
+		fmt.Fprintln(notes, "running failover (failure profile × correlation × custody × strategy on the custody diamond)...")
 		r, err := experiments.Failover(cfg)
 		if err != nil {
 			fatal(err)

@@ -610,9 +610,12 @@ func flowScenarios(a flowArgs) []sweep.Scenario {
 		}
 	}
 	for _, f := range split(a.flows) {
-		if _, err := strconv.Atoi(f); err != nil {
-			fatal(fmt.Errorf("bad -flows entry %q", f))
+		if n, err := strconv.Atoi(f); err != nil || n < 1 {
+			fatal(fmt.Errorf("bad -flows entry %q (want an integer ≥ 1)", f))
 		}
+	}
+	if !(a.lambda >= 0) {
+		fatal(fmt.Errorf("bad -lambda %g (want ≥ 0; 0 = flows/4)", a.lambda))
 	}
 
 	grid := sweep.NewGrid().
@@ -704,8 +707,8 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 		}
 	}
 	for _, n := range split(a.transfers) {
-		if _, err := strconv.Atoi(n); err != nil {
-			fatal(fmt.Errorf("bad -transfers entry %q", n))
+		if v, err := strconv.Atoi(n); err != nil || v < 1 {
+			fatal(fmt.Errorf("bad -transfers entry %q (want an integer ≥ 1)", n))
 		}
 	}
 	outageKind := mustOutageKind(a.outageKind)

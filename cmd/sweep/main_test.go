@@ -552,3 +552,40 @@ func TestSweepProgressTicker(t *testing.T) {
 }
 
 var tickerRE = regexp.MustCompile(`sweep: \d+/\d+ scenarios`)
+
+// TestSweepRejectsBadLoadAxes: non-positive load-axis entries and a
+// negative arrival rate fail when the flags are parsed, before any
+// scenario runs.
+func TestSweepRejectsBadLoadAxes(t *testing.T) {
+	bin := buildSweep(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-flows", "0"}, `bad -flows entry "0" (want an integer ≥ 1)`},
+		{[]string{"-flows=-5"}, `bad -flows entry "-5" (want an integer ≥ 1)`},
+		{[]string{"-flows", "60,0"}, `bad -flows entry "0" (want an integer ≥ 1)`},
+		{[]string{"-lambda=-1"}, `bad -lambda -1 (want ≥ 0; 0 = flows/4)`},
+		{[]string{"-lambda", "NaN"}, `bad -lambda NaN (want ≥ 0; 0 = flows/4)`},
+		{[]string{"-mode", "chunk", "-transfers", "0"}, `bad -transfers entry "0" (want an integer ≥ 1)`},
+		{[]string{"-mode", "chunk", "-transfers=-2"}, `bad -transfers entry "-2" (want an integer ≥ 1)`},
+	} {
+		start := time.Now()
+		var out, errb bytes.Buffer
+		cmd := exec.Command(bin, append(tc.args, "-q")...)
+		cmd.Stdout = &out
+		cmd.Stderr = &errb
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%s: exit 0, want failure", strings.Join(tc.args, " "))
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%s: stderr %q missing %q", strings.Join(tc.args, " "), errb.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed results before failing:\n%s", strings.Join(tc.args, " "), out.String())
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Errorf("%s: validation ran the sweep before failing", strings.Join(tc.args, " "))
+		}
+	}
+}

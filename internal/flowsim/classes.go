@@ -98,7 +98,7 @@ func (r *runner) growClassScratch() {
 // at the same per-flow rate, an arc carrying total weight w drains
 // capacity at w× that rate, and a saturating arc (or a binding demand
 // cap) freezes the classes it constrains. It mirrors progressiveFill —
-// the retained per-flow reference in maxmin.go — operation for
+// the per-flow test oracle in maxmin_test.go — operation for
 // operation: per-arc weights are integer sums (exact in float64), loads
 // advance by the identical delta×weight products, and the freeze
 // thresholds are the same capEps/saturationEps comparisons, so the

@@ -41,65 +41,3 @@ func IsConnected(g *Graph) bool {
 	}
 	return len(ConnectedComponents(g)) == 1
 }
-
-// Bridges returns the IDs of all bridge links (links whose removal would
-// disconnect their component), using Tarjan's low-link algorithm. A link is
-// a bridge exactly when it admits no detour at all — the "N/A" class of the
-// paper's Table 1.
-func Bridges(g *Graph) []LinkID {
-	n := g.NumNodes()
-	disc := make([]int, n) // discovery times, 0 = unvisited
-	low := make([]int, n)  // lowest discovery time reachable
-	timer := 0
-	var bridges []LinkID
-
-	// Iterative DFS to survive deep graphs (pendant chains in the ISP
-	// gadget topologies can be long).
-	type frame struct {
-		node    NodeID
-		viaLink LinkID // link used to reach node; -1 at roots
-		edgeIdx int    // next incident link to explore
-	}
-	for start := 0; start < n; start++ {
-		if disc[start] != 0 {
-			continue
-		}
-		stack := []frame{{node: NodeID(start), viaLink: -1}}
-		timer++
-		disc[start] = timer
-		low[start] = timer
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			links := g.IncidentLinks(f.node)
-			if f.edgeIdx < len(links) {
-				lid := links[f.edgeIdx]
-				f.edgeIdx++
-				if lid == f.viaLink {
-					continue // don't go straight back over the tree link
-				}
-				v := g.Link(lid).Other(f.node)
-				if disc[v] == 0 {
-					timer++
-					disc[v] = timer
-					low[v] = timer
-					stack = append(stack, frame{node: v, viaLink: lid})
-				} else if disc[v] < low[f.node] {
-					low[f.node] = disc[v]
-				}
-				continue
-			}
-			// Post-order: propagate low-link to parent and test the link.
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				parent := &stack[len(stack)-1]
-				if low[f.node] < low[parent.node] {
-					low[parent.node] = low[f.node]
-				}
-				if low[f.node] > disc[parent.node] {
-					bridges = append(bridges, f.viaLink)
-				}
-			}
-		}
-	}
-	return bridges
-}

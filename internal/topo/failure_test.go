@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +140,7 @@ func TestSettersPanicLoudly(t *testing.T) {
 	})
 	expectPanic("SetLinkLoss unknown id", func() { g.SetLinkLoss(7, 0.5) })
 	expectPanic("SetLinkLoss out of range", func() { g.SetLinkLoss(l0, 1.5) })
+	expectPanic("SetLinkLoss negative", func() { g.SetLinkLoss(l0, -0.1) })
 }
 
 func TestCloneIsolatesFailureState(t *testing.T) {
@@ -162,119 +162,5 @@ func TestCloneIsolatesFailureState(t *testing.T) {
 	}
 	if c.Link(l1).LossProb != 0.05 {
 		t.Error("Clone lost loss probability")
-	}
-}
-
-func TestJSONRoundTripFailureModel(t *testing.T) {
-	g, l0, l1 := failoverTriangle(t)
-	g.SetLinkOutage(l0, OutageSpec{Kind: OutageExp, Up: time.Second, Down: 250 * time.Millisecond, DownRate: 10 * units.Mbps})
-	g.SetLinkCalendar(l0, CalendarSpec{
-		Windows:  []Window{{time.Second, 2 * time.Second}, {4 * time.Second, 5 * time.Second}},
-		DownRate: units.Mbps,
-	})
-	g.SetLinkLoss(l1, 0.05)
-	g.MustAddSRLG(SRLG{
-		Name:     "conduit",
-		Links:    []LinkID{l0, l1},
-		Outage:   OutageSpec{Kind: OutageFixed, Up: 2 * time.Second, Down: 300 * time.Millisecond},
-		Calendar: CalendarSpec{Windows: []Window{{6 * time.Second, 7 * time.Second}}},
-	})
-
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if !reflect.DeepEqual(back.Link(l0), g.Link(l0)) {
-		t.Errorf("link 0 round trip: got %+v want %+v", back.Link(l0), g.Link(l0))
-	}
-	if back.Link(l1).LossProb != 0.05 {
-		t.Errorf("loss prob lost: %v", back.Link(l1).LossProb)
-	}
-	if !reflect.DeepEqual(back.SRLGs(), g.SRLGs()) {
-		t.Errorf("SRLG round trip: got %+v want %+v", back.SRLGs(), g.SRLGs())
-	}
-	var again bytes.Buffer
-	if err := back.WriteJSON(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("re-encoding a decoded graph changed bytes")
-	}
-}
-
-// TestJSONFailureFreeBytesUnchanged pins the satellite contract: graphs
-// that use none of the new failure fields must encode exactly as they did
-// before SRLG/calendar/loss support existed — no new keys, no reordering.
-func TestJSONFailureFreeBytesUnchanged(t *testing.T) {
-	g := New("plain")
-	a, b := g.AddNode("alpha"), g.AddNode("")
-	g.MustAddLink(a, b, units.Gbps, time.Millisecond)
-	g.SetLinkOutage(0, OutageSpec{Kind: OutageExp, Up: time.Second, Down: 100 * time.Millisecond})
-
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, key := range []string{"loss_prob", "maintenance", "srlgs"} {
-		if strings.Contains(got, key) {
-			t.Errorf("failure-free graph encodes new key %q:\n%s", key, got)
-		}
-	}
-	want := `{
-  "name": "plain",
-  "nodes": [
-    {
-      "id": 0,
-      "name": "alpha"
-    },
-    {
-      "id": 1,
-      "name": "n1"
-    }
-  ],
-  "links": [
-    {
-      "a": 0,
-      "b": 1,
-      "capacity": "1Gbps",
-      "delay_ms": 1,
-      "outage_kind": "exp",
-      "outage_up_ms": 1000,
-      "outage_down_ms": 100
-    }
-  ]
-}
-`
-	if got != want {
-		t.Errorf("encoding drifted:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestReadJSONFailureErrors(t *testing.T) {
-	link := func(extra string) string {
-		return `{"name":"x","nodes":[{"id":0},{"id":1}],"links":[{"a":0,"b":1,"capacity":"1Gbps"` + extra + `}]}`
-	}
-	cases := []string{
-		link(`,"loss_prob":1.5`),                                                              // loss out of range
-		link(`,"loss_prob":-0.1`),                                                             // negative loss
-		link(`,"maintenance":[{"start_ms":2000,"end_ms":1000}]`),                              // inverted window
-		link(`,"maintenance":[{"start_ms":-5,"end_ms":1000}]`),                                // negative start
-		link(`,"maintenance":[{"start_ms":0,"end_ms":2000},{"start_ms":1000,"end_ms":3000}]`), // torn/overlapping
-		link(`,"maintenance_down_rate":"1Mbps"`),                                              // rate without windows
-		link(`,"outage_up_ms":100`),                                                           // outage params without kind
-		link(`,"outage_kind":"exp","outage_up_ms":100`),                                       // missing down
-		`{"name":"x","nodes":[{"id":0},{"id":1}],"links":[{"a":0,"b":1,"capacity":"1Gbps"}],"srlgs":[{"name":"g","links":[5]}]}`,                          // unknown link
-		`{"name":"x","nodes":[{"id":0},{"id":1}],"links":[{"a":0,"b":1,"capacity":"1Gbps"}],"srlgs":[{"name":"g","links":[0]},{"name":"g","links":[0]}]}`, // duplicate group
-		`{"name":"x","nodes":[{"id":0},{"id":1}],"links":[{"a":0,"b":1,"capacity":"1Gbps"}],"srlgs":[{"name":"g","links":[0,0]}]}`,                        // duplicate member
-	}
-	for _, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadJSON(%q) should fail", c)
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package topo provides the network-topology substrate for the INRPP
 // reproduction: an undirected capacitated graph, deterministic and random
 // generators, gadget-based synthetic ISP topologies calibrated to the
-// paper's Table 1, basic graph algorithms and JSON encoding.
+// paper's Table 1, and basic graph algorithms.
 //
 // Links are undirected but full duplex: each link offers Capacity in each
 // direction independently, which is how the flow and chunk simulators

@@ -137,6 +137,69 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
+// Bridges returns the IDs of all bridge links (links whose removal would
+// disconnect their component), using Tarjan's low-link algorithm. A link is
+// a bridge exactly when it admits no detour at all — the "N/A" class of the
+// paper's Table 1 — so the gadget tests use it as an oracle independent of
+// route's detour classifier.
+func Bridges(g *Graph) []LinkID {
+	n := g.NumNodes()
+	disc := make([]int, n) // discovery times, 0 = unvisited
+	low := make([]int, n)  // lowest discovery time reachable
+	timer := 0
+	var bridges []LinkID
+
+	// Iterative DFS to survive deep graphs (pendant chains in the ISP
+	// gadget topologies can be long).
+	type frame struct {
+		node    NodeID
+		viaLink LinkID // link used to reach node; -1 at roots
+		edgeIdx int    // next incident link to explore
+	}
+	for start := 0; start < n; start++ {
+		if disc[start] != 0 {
+			continue
+		}
+		stack := []frame{{node: NodeID(start), viaLink: -1}}
+		timer++
+		disc[start] = timer
+		low[start] = timer
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			links := g.IncidentLinks(f.node)
+			if f.edgeIdx < len(links) {
+				lid := links[f.edgeIdx]
+				f.edgeIdx++
+				if lid == f.viaLink {
+					continue // don't go straight back over the tree link
+				}
+				v := g.Link(lid).Other(f.node)
+				if disc[v] == 0 {
+					timer++
+					disc[v] = timer
+					low[v] = timer
+					stack = append(stack, frame{node: v, viaLink: lid})
+				} else if disc[v] < low[f.node] {
+					low[f.node] = disc[v]
+				}
+				continue
+			}
+			// Post-order: propagate low-link to parent and test the link.
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				parent := &stack[len(stack)-1]
+				if low[f.node] < low[parent.node] {
+					low[parent.node] = low[f.node]
+				}
+				if low[f.node] > disc[parent.node] {
+					bridges = append(bridges, f.viaLink)
+				}
+			}
+		}
+	}
+	return bridges
+}
+
 func TestBridges(t *testing.T) {
 	// Two triangles joined by a single link: only the joiner is a bridge.
 	g := New("barbell")
@@ -191,31 +254,5 @@ func TestRandomGenerators(t *testing.T) {
 	wx := Waxman(40, 0.8, 0.5, 3)
 	if wx.NumNodes() != 40 {
 		t.Errorf("Waxman nodes = %d", wx.NumNodes())
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	s := ComputeStats(Ring(6))
-	if s.Nodes != 6 || s.Links != 6 || s.MinDegree != 2 || s.MaxDegree != 2 {
-		t.Errorf("ring stats wrong: %+v", s)
-	}
-	if s.Diameter != 3 {
-		t.Errorf("ring diameter = %d, want 3", s.Diameter)
-	}
-	if s.Bridges != 0 || s.Components != 1 {
-		t.Errorf("ring bridges/components wrong: %+v", s)
-	}
-	if s.AvgDegree != 2 {
-		t.Errorf("ring avg degree = %v, want 2", s.AvgDegree)
-	}
-}
-
-func TestStatsDisconnected(t *testing.T) {
-	g := New("island")
-	g.AddNodes(3)
-	g.MustAddLink(0, 1, units.Gbps, 0)
-	s := ComputeStats(g)
-	if s.Components != 2 || s.Diameter != -1 {
-		t.Errorf("disconnected stats wrong: %+v", s)
 	}
 }

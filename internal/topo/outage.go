@@ -117,7 +117,7 @@ func (o OutageSpec) String() string {
 
 // SetLinkOutage declares a churn process on an existing link. Simulators
 // consuming the graph drive the process; the graph itself only carries
-// the declaration (Clone and JSON round-trips preserve it). It panics
+// the declaration (Clone preserves it). It panics
 // loudly on an unknown link or an invalid spec — both are
 // construction-time programming errors.
 func (g *Graph) SetLinkOutage(id LinkID, o OutageSpec) {

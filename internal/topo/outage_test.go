@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -59,58 +58,5 @@ func TestOutageClonePreserved(t *testing.T) {
 	g.SetLinkOutage(id, spec)
 	if got := g.Clone().Link(id).Outage; got != spec {
 		t.Errorf("clone outage = %+v, want %+v", got, spec)
-	}
-}
-
-func TestOutageJSONRoundTrip(t *testing.T) {
-	g := New("churned")
-	g.AddNodes(3)
-	plain := g.MustAddLink(0, 1, units.Gbps, time.Millisecond)
-	hard := g.MustAddLink(1, 2, 100*units.Mbps, 2*time.Millisecond)
-	g.SetLinkOutage(hard, OutageSpec{Kind: OutageFixed, Up: time.Second, Down: 250 * time.Millisecond})
-
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Always-up links must not carry outage fields, so pre-churn graph
-	// files decode and re-encode byte-identically; a hard outage omits
-	// the down rate.
-	if strings.Count(buf.String(), "outage_kind") != 1 {
-		t.Errorf("outage fields on always-up links: %s", buf.String())
-	}
-	if strings.Contains(buf.String(), "outage_down_rate") {
-		t.Errorf("hard outage encoded a down rate: %s", buf.String())
-	}
-
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Link(plain).Outage; got.Enabled() {
-		t.Errorf("plain link decoded with outage %+v", got)
-	}
-	want := OutageSpec{Kind: OutageFixed, Up: time.Second, Down: 250 * time.Millisecond}
-	if got := back.Link(hard).Outage; got != want {
-		t.Errorf("hard outage decoded as %+v, want %+v", got, want)
-	}
-
-	// Soft outage: the down rate survives the trip too.
-	g.SetLinkOutage(hard, OutageSpec{Kind: OutageExp, Up: time.Second, Down: 100 * time.Millisecond, DownRate: 5 * units.Mbps})
-	buf.Reset()
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err = ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Link(hard).Outage; got != g.Link(hard).Outage {
-		t.Errorf("soft outage decoded as %+v, want %+v", got, g.Link(hard).Outage)
-	}
-
-	// A bad kind fails loudly.
-	if _, err := ReadJSON(strings.NewReader(`{"name":"x","nodes":[{"id":0},{"id":1}],"links":[{"a":0,"b":1,"capacity":"1Gbps","outage_kind":"bogus"}]}`)); err == nil {
-		t.Error("bogus outage kind accepted")
 	}
 }

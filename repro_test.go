@@ -1,23 +1,18 @@
 package repro
 
 import (
-	"bytes"
 	"context"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // TestFacade exercises the public API end to end: topology, detour
-// analysis, flow simulation and chunk simulation through the root
-// package only.
+// analysis and flow simulation through the root package only.
 func TestFacade(t *testing.T) {
-	if len(ISPs()) != 9 {
-		t.Fatalf("ISPs = %d, want 9", len(ISPs()))
-	}
 	g, err := BuildISP("VSNL (IN)")
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +36,6 @@ func TestFacade(t *testing.T) {
 	if res.Delivered == 0 {
 		t.Error("facade flow run moved no bytes")
 	}
-
-	sim, err := NewChunkSim(ChunkConfig{Graph: Fig3Topology(), Transport: INRPP, ChunkSize: 10 * KB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.AddTransfer(ChunkTransfer{ID: 1, Src: 0, Dst: 4, Chunks: 50}); err != nil {
-		t.Fatal(err)
-	}
-	rep := sim.Run(5 * time.Second)
-	if rep.DeliveredPerFlow[1] != 50 {
-		t.Errorf("facade chunk run delivered %d/50", rep.DeliveredPerFlow[1])
-	}
 }
 
 // TestSweepFacade drives a small grid sweep through the public API only:
@@ -69,7 +52,8 @@ func TestSweepFacade(t *testing.T) {
 			Horizon:   4 * time.Second,
 		}
 		spec.Policy = MustParseFlowPolicy(pt.Get("policy"))
-		return spec.Run(DeriveSweepSeed(1, "shared", replica))
+		// One seed per replica: both policies see identical flows.
+		return spec.Run(int64(replica + 1))
 	})
 	if len(scenarios) != 4 {
 		t.Fatalf("scenarios = %d, want 4", len(scenarios))
@@ -95,20 +79,10 @@ func TestSweepFacade(t *testing.T) {
 	if out := SweepTable("t", aggs).String(); !strings.Contains(out, "demand_satisfied") {
 		t.Errorf("sweep table missing metrics:\n%s", out)
 	}
-	var buf bytes.Buffer
-	if err := SweepCSV(&buf, aggs); err != nil {
-		t.Fatal(err)
-	}
-	if err := SweepJSON(&buf, aggs); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("empty CSV/JSON output")
-	}
 }
 
-// TestChunkSweepFacade drives a chunknet grid with checkpoint/resume
-// through the public API only.
+// TestChunkSweepFacade drives a chunknet transport grid through the
+// public API only.
 func TestChunkSweepFacade(t *testing.T) {
 	grid := NewSweepGrid().Axis("transport", "inrpp", "aimd", "arc")
 	scenarios := grid.Expand(1, 1, func(pt SweepPoint, replica int, seed int64) SweepRunFunc {
@@ -116,27 +90,16 @@ func TestChunkSweepFacade(t *testing.T) {
 			Transport:    MustParseChunkTransport(pt.Get("transport")),
 			IngressRate:  100 * Mbps,
 			EgressRate:   20 * Mbps,
-			ChunkSize:    50 * KB,
+			ChunkSize:    50 * units.KB,
 			Anticipation: 64,
 			Custody:      10 * MB,
-			Buffer:       500 * KB,
+			Buffer:       500 * units.KB,
 			Chunks:       100,
 			Horizon:      2 * time.Second,
 		}
 		return spec.Run(seed)
 	})
-	const label = "facade chunk demo"
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := NewSweepCheckpoint(path, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := &SweepRunner{Workers: 2, Progress: cp.Progress(nil)}
-	results := runner.Run(context.Background(), scenarios)
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
+	for _, r := range RunSweep(context.Background(), 2, scenarios) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -144,34 +107,10 @@ func TestChunkSweepFacade(t *testing.T) {
 			t.Errorf("%s delivered nothing", r.Name)
 		}
 	}
-	acc := NewSweepAccumulator(SweepAccumulatorConfig{Mode: SweepAggExact}, scenarios)
-	n, failed, err := ResumeSweepCheckpoint(context.Background(), 2, path, label, scenarios, acc)
-	if err != nil || n != len(scenarios) || len(failed) != 0 {
-		t.Fatalf("ResumeSweepCheckpoint: n=%d failed=%v err=%v", n, failed, err)
-	}
-	b, err := acc.Aggregates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := AggregateSweep(results)
-	var liveBuf, restoredBuf bytes.Buffer
-	if err := SweepJSON(&liveBuf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := SweepJSON(&restoredBuf, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveBuf.Bytes(), restoredBuf.Bytes()) {
-		t.Error("restored aggregate differs from live run")
-	}
 }
 
-// TestExperimentEntryPoints checks the re-exported experiment functions.
+// TestExperimentEntryPoints checks the re-exported experiment function.
 func TestExperimentEntryPoints(t *testing.T) {
-	rows, err := Table1()
-	if err != nil || len(rows) != 9 {
-		t.Fatalf("Table1: %v rows, err %v", len(rows), err)
-	}
 	r, err := Fig3Fairness()
 	if err != nil {
 		t.Fatal(err)
