@@ -8,116 +8,86 @@ package chunknet
 // probing" design the paper argues against (§2.1), used as the
 // comparison point in the custody/back-pressure experiment.
 
-// aimdStart opens the flow: slow-start from a small window.
-func (s *Sim) aimdStart(f *flowState) {
-	s.aimdTrySend(f)
-	s.aimdResetRTO(f)
+// aimd is the AIMD transport.
+type aimd struct{ e2e }
+
+// aimdFlow is one AIMD transfer's endpoint state: the sender's window
+// and ack bookkeeping.
+type aimdFlow struct {
+	e2eFlow
+	next    int64 // next new chunk to send
+	lastCum int64 // highest cumulative ack seen
 }
 
-// aimdTrySend pushes data while the window allows.
-func (s *Sim) aimdTrySend(f *flowState) {
-	for f.aimdNext < f.tr.Chunks && float64(f.aimdNext-f.lastCum) <= f.cwnd {
-		s.sendChunkE2E(f, f.aimdNext)
-		f.aimdNext++
+func (aimd) newFlow(s *Sim, base flowState) *flowState {
+	f := &aimdFlow{e2eFlow: newE2EFlow(base), lastCum: -1}
+	f.ep = f
+	f.timeoutFn = func() { f.timeout(s) }
+	return &f.flowState
+}
+
+// start opens the flow: slow-start from a small window.
+func (f *aimdFlow) start(s *Sim) {
+	f.trySend(s)
+	f.rearm(s, s.cfg.RTO)
+}
+
+// trySend pushes data while the window allows.
+func (f *aimdFlow) trySend(s *Sim) {
+	for f.next < f.tr.Chunks && float64(f.next-f.lastCum) <= f.cwnd {
+		f.sendChunk(s, f.next)
+		f.next++
 	}
 }
 
-// sendChunkE2E pushes one chunk end-to-end along the flow's single path,
-// with no detour budget — the send primitive shared by the AIMD and ARC
-// baselines, which never pool in-network resources.
-func (s *Sim) sendChunkE2E(f *flowState, seq int64) {
-	p := s.makeDataPacket(f, seq)
-	p.detourBudget = 0
-	if len(f.dataPath) < 2 {
-		s.deliver(p)
-		s.freePacket(p)
-		return
-	}
-	if !s.arcFor(f.tr.Src, f.dataPath[1]).send(p) {
-		s.freePacket(p)
-	}
+// atReceiver acks every fresh chunk cumulatively.
+func (f *aimdFlow) atReceiver(s *Sim, _ int64) {
+	s.sendToSource(&f.flowState, pktAck, f.win.Next()-1, false)
 }
 
-// aimdAckData runs at the receiver when a chunk arrives: send a
-// cumulative ack back to the sender.
-func (s *Sim) aimdAckData(f *flowState) {
-	p := s.newPacket()
-	p.kind = pktAck
-	p.flow = f.tr.ID
-	p.cum = f.win.Next() - 1
-	p.size = s.cfg.RequestSize
-	p.rest = append(p.rest, f.reqPath[1:]...)
-	p.prevHop = f.tr.Dst
-	if len(f.reqPath) < 2 {
-		s.onAck(p)
-		s.freePacket(p)
-		return
-	}
-	s.arcFor(f.tr.Dst, f.reqPath[1]).send(p)
-}
-
-// onAck is the AIMD sender's ack handler: window growth on progress,
-// fast retransmit on triple duplicates.
-func (s *Sim) onAck(p *packet) {
-	f := s.flows[p.flow]
+// atSource is the sender's ack handler: window growth on progress, fast
+// retransmit on triple duplicates.
+func (f *aimdFlow) atSource(s *Sim, p *packet) {
 	if f.done && f.win.Done() {
 		return
 	}
-	if p.cum > f.lastCum {
-		f.lastCum = p.cum
+	if p.seq > f.lastCum {
+		f.lastCum = p.seq
 		f.dup = 0
-		if f.cwnd < f.ssthresh {
-			f.cwnd++ // slow start
-		} else {
-			f.cwnd += 1 / f.cwnd // congestion avoidance
-		}
-		s.aimdResetRTO(f)
-		s.aimdTrySend(f)
+		f.grow()
+		f.rearm(s, s.cfg.RTO)
+		f.trySend(s)
 		return
 	}
 	f.dup++
 	if f.dup >= 3 {
 		f.dup = 0
-		f.ssthresh = f.cwnd / 2
-		if f.ssthresh < 2 {
-			f.ssthresh = 2
-		}
-		f.cwnd = f.ssthresh
-		s.aimdRetransmit(f)
+		f.halve()
+		f.retransmit(s)
 	}
 }
 
-// aimdRetransmit resends the first unacknowledged chunk.
-func (s *Sim) aimdRetransmit(f *flowState) {
+// retransmit resends the first unacknowledged chunk.
+func (f *aimdFlow) retransmit(s *Sim) {
 	seq := f.lastCum + 1
 	if seq >= f.tr.Chunks || f.win.Received(seq) {
 		return
 	}
 	s.rep.Retransmits++
 	s.mRetransmits.Inc()
-	s.sendChunkE2E(f, seq)
-	s.aimdResetRTO(f)
+	f.sendChunk(s, seq)
+	f.rearm(s, s.cfg.RTO)
 }
 
-// aimdResetRTO (re)arms the retransmission timeout.
-func (s *Sim) aimdResetRTO(f *flowState) {
-	f.rto.Cancel()
-	f.rto = s.des.After(s.cfg.RTO, f.timeoutFn)
-}
-
-// aimdTimeout is the coarse timeout: collapse to one segment and go back
-// to the first unacked chunk.
-func (s *Sim) aimdTimeout(f *flowState) {
+// timeout is the coarse timeout: collapse to one segment and go back to
+// the first unacked chunk.
+func (f *aimdFlow) timeout(s *Sim) {
 	if f.done {
 		return
 	}
 	s.mRTOFires.Inc()
 	s.emitTrace("rto_fire", f.tr.ID, "", f.lastCum+1, 0)
-	f.ssthresh = f.cwnd / 2
-	if f.ssthresh < 2 {
-		f.ssthresh = 2
-	}
-	f.cwnd = 1
-	f.aimdNext = f.lastCum + 1
-	s.aimdRetransmit(f)
+	f.collapse()
+	f.next = f.lastCum + 1
+	f.retransmit(s)
 }

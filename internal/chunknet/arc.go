@@ -17,8 +17,8 @@ type packetKind int
 
 const (
 	pktData    packetKind = iota
-	pktRequest            // INRPP request ⟨Nc, ACKc, Ac⟩ (also used as a resend ask)
-	pktAck                // AIMD cumulative ack
+	pktRequest            // receiver request for chunk seq (INRPP ⟨Nc, ACKc, Ac⟩, ARC)
+	pktAck                // AIMD cumulative ack: seq is the highest in-order chunk
 	pktBpOn               // back-pressure notification
 	pktBpOff              // back-pressure release
 )
@@ -40,14 +40,11 @@ type packet struct {
 	detoured     bool
 
 	prevHop topo.NodeID
-
-	// AIMD ack payload.
-	cum int64
+	resend  bool // request for a chunk presumed lost
 
 	// Back-pressure payload.
 	bpArc  topo.Arc
 	bpRate units.BitRate
-	resend bool
 }
 
 // arcState is one direction of one link: serializer, control queue, and
@@ -186,7 +183,7 @@ func (a *arcState) send(p *packet) bool {
 	a.seqNo++
 	a.pktq = append(a.pktq, p)
 	a.sim.emitTrace("custody_enter", p.flow, a.name, p.seq, a.occupancyFraction())
-	a.sim.checkBackpressure(a, p)
+	a.sim.tp.stored(a.sim, a, p)
 	a.kick()
 	return true
 }
@@ -223,7 +220,7 @@ func (a *arcState) next() *packet {
 	}
 	// Source scheduling: arcs leaving a sender pull the next chunk on
 	// demand, which is what paces open-loop push to the link rate.
-	return a.sim.nextSenderChunk(a)
+	return a.sim.tp.pull(a.sim, a)
 }
 
 // popStored pops the head of the store together with its pktq mirror

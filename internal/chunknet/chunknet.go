@@ -2,6 +2,7 @@ package chunknet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cache"
@@ -13,30 +14,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/units"
 )
-
-// Transport selects the protocol stack of a run.
-type Transport int
-
-// The three transports.
-const (
-	INRPP Transport = iota
-	AIMD
-	ARC
-)
-
-// String names the transport.
-func (t Transport) String() string {
-	switch t {
-	case INRPP:
-		return "INRPP"
-	case AIMD:
-		return "AIMD"
-	case ARC:
-		return "ARC"
-	default:
-		return fmt.Sprintf("Transport(%d)", int(t))
-	}
-}
 
 // Config describes a chunk-level simulation.
 type Config struct {
@@ -213,6 +190,7 @@ type Report struct {
 // Sim is a configured chunk-level simulation.
 type Sim struct {
 	cfg     Config
+	tp      transport
 	g       *topo.Graph
 	des     *des.Simulator
 	planner *core.Planner
@@ -221,9 +199,9 @@ type Sim struct {
 	arcs  []*arcState // indexed 2*link+dir
 	srlgs []*srlgState
 
-	flows   map[int]*flowState
-	flowIDs []int
-	spTrees map[topo.NodeID]*route.Tree
+	flows    map[int]*flowState
+	flowList []*flowState // AddTransfer order
+	spTrees  map[topo.NodeID]*route.Tree
 
 	// pktFree is the packet pool: every packet whose journey ended is
 	// recycled here, so per-chunk forwarding allocates nothing in steady
@@ -233,8 +211,8 @@ type Sim struct {
 	// bound once instead of per estimator tick.
 	residualFn core.ResidualFunc
 	// pathScratch is the reusable staging buffer for in-place detour
-	// route splicing (forwardData); detourScratch is the same idea for
-	// pickDetour's candidate list.
+	// route splicing (tunnel); detourScratch is the same idea for
+	// pickVia's candidate list.
 	pathScratch   route.Path
 	detourScratch []topo.NodeID
 
@@ -275,8 +253,8 @@ type nodeState struct {
 	arcTo   []int32
 	ifaceTo []core.IfaceID
 	est     *core.Estimator
-	schedRR int   // round-robin cursor over local sender flows
-	senders []int // transfer IDs originating here
+	schedRR int          // round-robin cursor over local sender flows
+	senders []*inrppFlow // INRPP flows originating here, in AddTransfer order
 }
 
 // New builds a simulation over g.
@@ -290,9 +268,25 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Outage.Validate(); err != nil {
 		return nil, fmt.Errorf("chunknet: %w", err)
 	}
+	// The one place the transport is chosen. The baselines have neither
+	// custody nor detours, so New resets those knobs for them.
+	var tp transport
+	switch cfg.Transport {
+	case INRPP:
+		tp = inrpp{}
+	case AIMD:
+		tp = aimd{}
+		cfg.CustodyBytes, cfg.Failover = 0, FailoverHold
+	case ARC:
+		tp = reqctl{}
+		cfg.CustodyBytes, cfg.Failover = 0, FailoverHold
+	default:
+		return nil, fmt.Errorf("chunknet: unknown transport %v (known: INRPP, AIMD, ARC)", cfg.Transport)
+	}
 	cfg.applyDefaults()
 	s := &Sim{
 		cfg:     cfg,
+		tp:      tp,
 		g:       cfg.Graph,
 		des:     des.New(),
 		planner: core.NewPlanner(cfg.Graph, cfg.Planner),
@@ -329,10 +323,6 @@ func New(cfg Config) (*Sim, error) {
 			ns.arcTo[l.Other(n.ID)] = idx
 			ns.arcIdx = append(ns.arcIdx, idx)
 
-			storeCap := cfg.QueueBytes
-			if cfg.Transport == INRPP {
-				storeCap += cfg.CustodyBytes
-			}
 			outage := l.Outage
 			if !outage.Enabled() {
 				outage = cfg.Outage
@@ -348,7 +338,8 @@ func New(cfg Config) (*Sim, error) {
 				outage:   outage,
 				calendar: l.Calendar,
 				lossProb: l.LossProb,
-				store:    cache.NewCustody(storeCap),
+				store:    cache.NewCustody(cfg.QueueBytes + cfg.CustodyBytes),
+				iface:    core.NewInterface(l.Capacity, cfg.Iface),
 			}
 			a.txDoneFn = a.txDone
 			a.arriveFn = a.deliverHead
@@ -358,11 +349,6 @@ func New(cfg Config) (*Sim, error) {
 			ns.est = core.NewEstimator(len(ns.arcIdx), cfg.ChunkSize, cfg.Ti)
 		}
 		s.nodes[n.ID] = ns
-	}
-	for _, a := range s.arcs {
-		if a != nil {
-			a.iface = core.NewInterface(a.baseRate, cfg.Iface)
-		}
 	}
 	// Bind shared-risk groups to their member arcs (both directions of
 	// every member link fail together — a conduit cut severs the fibre,
@@ -491,11 +477,14 @@ func (s *Sim) emitTrace(event string, flow int, arc string, seq int64, v float64
 	})
 }
 
-// AddTransfer registers a transfer before Run. Transfers with unreachable
-// endpoints are rejected.
+// AddTransfer registers a transfer before Run. Transfers whose endpoints
+// coincide or are unreachable are rejected.
 func (s *Sim) AddTransfer(tr Transfer) error {
 	if _, dup := s.flows[tr.ID]; dup {
 		return fmt.Errorf("chunknet: duplicate transfer ID %d", tr.ID)
+	}
+	if tr.Src == tr.Dst {
+		return fmt.Errorf("chunknet: transfer %d has source and receiver on node %d", tr.ID, tr.Src)
 	}
 	tree, ok := s.spTrees[tr.Src]
 	if !ok {
@@ -506,31 +495,16 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 	if dataPath == nil {
 		return fmt.Errorf("chunknet: no path %d→%d", tr.Src, tr.Dst)
 	}
-	f := &flowState{
-		tr:         tr,
-		dataPath:   dataPath,
-		reqPath:    reversePath(dataPath),
-		win:        core.NewWindow(tr.Chunks, s.cfg.Anticipation),
-		rateEst:    float64(s.cfg.InitialRequestRate),
-		nextReq:    0,
-		highestReq: -1,
-		cwnd:       2,
-		ssthresh:   64,
-		lastCum:    -1,
-		lastNack:   -1, // chunk 0 must be NACKable/re-requestable
-	}
-	switch s.cfg.Transport {
-	case INRPP:
-		f.loopFn = func() { s.requestLoop(f) }
-	case AIMD:
-		f.timeoutFn = func() { s.aimdTimeout(f) }
-	case ARC:
-		f.reqSent = make(map[int64]time.Duration)
-		f.timeoutFn = func() { s.arcTimeout(f) }
-	}
+	reqPath := slices.Clone(dataPath)
+	slices.Reverse(reqPath)
+	f := s.tp.newFlow(s, flowState{
+		tr:       tr,
+		dataPath: dataPath,
+		reqPath:  reqPath,
+		win:      core.NewWindow(tr.Chunks, s.cfg.Anticipation),
+	})
 	s.flows[tr.ID] = f
-	s.flowIDs = append(s.flowIDs, tr.ID)
-	s.nodes[tr.Src].senders = append(s.nodes[tr.Src].senders, tr.ID)
+	s.flowList = append(s.flowList, f)
 	return nil
 }
 
@@ -546,36 +520,16 @@ func (s *Sim) Run(until time.Duration) *Report {
 	// Arm link churn first so outage transitions win equal-timestamp
 	// ordering deterministically over same-instant flow activity.
 	s.startChurn()
-	// Kick off per-flow activity.
-	for _, id := range s.flowIDs {
-		f := s.flows[id]
-		start := f.tr.Start
-		switch s.cfg.Transport {
-		case INRPP:
-			s.des.At(start, func() { s.requestLoop(f) })
-		case AIMD:
-			s.des.At(start, func() { s.aimdStart(f) })
-		case ARC:
-			s.des.At(start, func() { s.arcStart(f) })
-		}
+	// Kick off per-flow activity, then the transport's router side.
+	for _, f := range s.flowList {
+		s.des.At(f.tr.Start, func() { f.ep.start(s) })
 	}
-	// Periodic estimator ticks on every node (INRPP only).
-	if s.cfg.Transport == INRPP {
-		var tick func()
-		tick = func() {
-			s.tickEstimators()
-			if s.des.Now() < until {
-				s.des.After(s.cfg.Ti, tick)
-			}
-		}
-		s.des.After(s.cfg.Ti, tick)
-	}
+	s.tp.arm(s, until)
 	// Custody-occupancy sampling at estimator cadence. The callback only
 	// reads store state, so the extra kernel events cannot change the
 	// simulation outcome (the golden-with-metrics tests pin this).
 	if s.sCustody != nil {
-		var sample func()
-		sample = func() {
+		s.everyTi(until, func() {
 			var used int64
 			for _, a := range s.arcs {
 				if a != nil {
@@ -586,23 +540,31 @@ func (s *Sim) Run(until time.Duration) *Report {
 			if used > s.gCustodyPeak.Value() {
 				s.gCustodyPeak.Set(used)
 			}
-			if s.des.Now() < until {
-				s.des.After(s.cfg.Ti, sample)
-			}
-		}
-		s.des.After(s.cfg.Ti, sample)
+		})
 	}
 	s.des.RunUntil(until)
 	s.finalize(until)
 	return &s.rep
 }
 
+// everyTi runs fn every estimator interval Ti, the last time at the
+// first tick at or past the horizon.
+func (s *Sim) everyTi(until time.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if s.des.Now() < until {
+			s.des.After(s.cfg.Ti, tick)
+		}
+	}
+	s.des.After(s.cfg.Ti, tick)
+}
+
 func (s *Sim) finalize(until time.Duration) {
 	s.rep.Duration = until
 	s.finishChurn(until)
-	for _, id := range s.flowIDs {
-		f := s.flows[id]
-		s.rep.DeliveredPerFlow[id] = f.win.Count()
+	for _, f := range s.flowList {
+		s.rep.DeliveredPerFlow[f.tr.ID] = f.win.Count()
 	}
 	for _, a := range s.arcs {
 		if a == nil {
@@ -624,12 +586,4 @@ func (s *Sim) arcFor(u, v topo.NodeID) *arcState {
 		panic(fmt.Sprintf("chunknet: no link %d-%d", u, v))
 	}
 	return s.arcs[idx]
-}
-
-func reversePath(p route.Path) route.Path {
-	out := make(route.Path, len(p))
-	for i, n := range p {
-		out[len(p)-1-i] = n
-	}
-	return out
 }

@@ -380,6 +380,9 @@ func TestTransferValidation(t *testing.T) {
 	if err := s.AddTransfer(Transfer{ID: 2, Src: 0, Dst: 1, Chunks: 1}); err == nil {
 		t.Error("duplicate ID should be rejected")
 	}
+	if err := s.AddTransfer(Transfer{ID: 3, Src: 1, Dst: 1, Chunks: 1}); err == nil {
+		t.Error("same-node transfer should be rejected")
+	}
 	if _, err := New(Config{Graph: nil}); err == nil {
 		t.Error("nil graph should be rejected")
 	}

@@ -261,7 +261,7 @@ func TestStoreKeysDenseUnderDrops(t *testing.T) {
 
 // TestBackpressureWatermarkBoundaries pins the exact comparison
 // semantics at the watermarks: occupancy == BackpressureHigh triggers
-// (checkBackpressure returns early only below it), and occupancy ==
+// (inrpp.stored returns early only below it), and occupancy ==
 // BackpressureLow releases (maybeReleaseBackpressure returns early only
 // above it).
 func TestBackpressureWatermarkBoundaries(t *testing.T) {

@@ -21,6 +21,16 @@
 //     gain comes from in-network resource pooling rather than from
 //     receiver-driven pull alone.
 //
+// The transports meet the shared forwarding layer (forward.go) at one
+// unexported seam (transport.go). A transport gives each flow an
+// endpoint of its own type and state — hooks for flow start, a request
+// or ack at the source, and a fresh chunk at the receiver — and a router
+// side: a periodic tick, a hook when a store accepts a chunk, and a push
+// scheduler for idle arcs. Only INRPP (inrpp.go) has a router side; AIMD
+// (aimd.go) and ARC (reqctl.go) share one congestion window. New is the
+// only code that branches on the transport; it also resets CustodyBytes
+// and Failover for the baselines, which have neither custody nor detours.
+//
 // The simulator is single-threaded and deterministic: the same Config
 // and transfer list always produce the same Report. Sweeps over
 // transport, anticipation, custody budget and load run through

@@ -84,33 +84,28 @@ func (s *Sim) failoverDetour(a *arcState) bool {
 	return s.cfg.Failover != FailoverHold && a.paused()
 }
 
-// maybeEvacuate runs custody evacuation on an arc that just transitioned;
-// a no-op unless the config selects FailoverReroute, the transport is
-// INRPP (only INRPP has detours), and the arc is actually hard-down.
+// maybeEvacuate drains the custody backlog of an arc that just
+// transitioned, if it is hard-down and the config selects FailoverReroute
+// (which New allows only for INRPP, the one transport with detours). The
+// backlog leaves through one-hop detour neighbours, in store FIFO order.
+// Each moved chunk is re-spliced to tunnel through the detour node and
+// rejoin its route at the arc's far end, spending one unit of its detour
+// budget, and is re-offered to the detour arc only after a room check so
+// the move can never become a drop. The drain stops at the first chunk
+// that cannot move.
 func (s *Sim) maybeEvacuate(a *arcState) {
-	if s.cfg.Failover != FailoverReroute || s.cfg.Transport != INRPP || !a.paused() {
+	if s.cfg.Failover != FailoverReroute || !a.paused() {
 		return
 	}
-	s.evacuate(a)
-}
-
-// evacuate drains the hard-down arc's custody backlog through one-hop
-// detour neighbours, in store FIFO order. Each moved chunk is re-spliced
-// to tunnel through the detour node and rejoin its route at the arc's
-// far end, spending one unit of its detour budget, and is re-offered to
-// the detour arc only after a room check so the move can never become a
-// drop. The drain stops at the first chunk that cannot move.
-func (s *Sim) evacuate(a *arcState) {
 	for a.store.Len() > 0 {
 		p := a.pktq[a.pktHead]
 		if p.detourBudget <= 0 {
 			return
 		}
-		d, ok := s.pickEvacuation(a, p)
+		via, ok := s.pickEvacuation(a, p)
 		if !ok {
 			return
 		}
-		via := d.to
 		a.popStored()
 		p.detourBudget--
 		if !p.detoured {
@@ -122,83 +117,31 @@ func (s *Sim) evacuate(a *arcState) {
 		s.mDetoured.Inc()
 		s.mDetourFailovers.Inc()
 		s.mEvacuated.Inc()
-		// Tunnel through via and rejoin at the original next hop (p.rest
-		// still begins with a.to), staged through the sim scratch path
-		// like forwardData's splice.
-		s.pathScratch = append(s.pathScratch[:0], p.rest[1:]...)
-		p.rest = append(p.rest[:0], via, a.to)
-		p.rest = append(p.rest, s.pathScratch...)
+		// p.rest still begins with a.to, where the tunnel rejoins.
+		s.tunnel(p, via)
+		d := s.arcFor(a.from, via)
 		d.cDetourBytes.Add(int64(p.size))
 		s.emitTrace("evacuate", p.flow, d.name, p.seq, 0)
 		d.send(p)
 	}
 }
 
-// routeControl sends a control packet toward its next hop (p.rest[0]),
-// rerouting it around a hard-down arc under a reroute failover mode: the
-// packet is spliced through an un-paused one-hop detour exactly like
-// failover data. Requests and NACKs keep flowing while their nominal arc
-// is paused — without this the receiver's request stream (and with it
-// the request-driven sender) would stall behind the very outage the
-// failover is meant to route around.
-func (s *Sim) routeControl(node topo.NodeID, p *packet) {
-	next := p.rest[0]
-	a := s.arcFor(node, next)
-	if s.cfg.Transport == INRPP && s.failoverDetour(a) {
-		if via, ok := s.pickControlReroute(a, p.seq); ok {
-			s.pathScratch = append(s.pathScratch[:0], p.rest[1:]...)
-			p.rest = append(p.rest[:0], via, next)
-			p.rest = append(p.rest, s.pathScratch...)
-			a = s.arcFor(node, via)
-		}
-	}
-	a.send(p)
-	p.prevHop = node
-}
-
 // pickControlReroute selects an un-paused one-hop detour for a control
 // packet stranded behind a hard-down arc. Control traffic bypasses the
 // data store, so the only requirement is that both detour arcs are up.
 func (s *Sim) pickControlReroute(a *arcState, seq int64) (topo.NodeID, bool) {
-	viable := s.detourScratch[:0]
-	for _, sub := range s.planner.Candidates(a.arc.Link, a.arc.Dir) {
-		if sub.Extra != 1 {
-			continue
-		}
-		via := sub.Path[1]
-		if !s.arcFor(a.from, via).paused() && !s.arcFor(via, a.to).paused() {
-			viable = append(viable, via)
-		}
-	}
-	s.detourScratch = viable
-	if len(viable) == 0 {
-		return 0, false
-	}
-	return viable[int(seq)%len(viable)], true
+	return s.pickVia(a, seq, func(out, back *arcState) bool {
+		return !out.paused() && !back.paused()
+	})
 }
 
-// pickEvacuation selects the detour arc for draining custody off a
-// hard-down arc, spreading consecutive chunks across candidates like
-// pickDetour. Unlike pickDetour it ignores measured residual: the
+// pickEvacuation selects the detour neighbour for draining custody off a
+// hard-down arc. Unlike pickDetour it ignores measured residual: the
 // receiving store, not the wire, absorbs an evacuation, so a candidate
 // qualifies whenever both detour arcs are un-paused and the first hop's
 // store has room for the chunk.
-func (s *Sim) pickEvacuation(a *arcState, p *packet) (*arcState, bool) {
-	viable := s.detourScratch[:0]
-	for _, sub := range s.planner.Candidates(a.arc.Link, a.arc.Dir) {
-		if sub.Extra != 1 {
-			continue
-		}
-		via := sub.Path[1]
-		out := s.arcFor(a.from, via)
-		back := s.arcFor(via, a.to)
-		if !out.paused() && !back.paused() && out.store.Capacity()-out.store.Used() >= p.size {
-			viable = append(viable, via)
-		}
-	}
-	s.detourScratch = viable
-	if len(viable) == 0 {
-		return nil, false
-	}
-	return s.arcFor(a.from, viable[int(p.seq)%len(viable)]), true
+func (s *Sim) pickEvacuation(a *arcState, p *packet) (topo.NodeID, bool) {
+	return s.pickVia(a, p.seq, func(out, back *arcState) bool {
+		return !out.paused() && !back.paused() && out.store.Capacity()-out.store.Used() >= p.size
+	})
 }

@@ -3,6 +3,7 @@ package chunknet
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,50 @@ func TestConfigFailureValidation(t *testing.T) {
 	cfg.Outage = topo.OutageSpec{Kind: topo.OutageExp, Up: -time.Second, Down: time.Second}
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted a negative outage up-phase")
+	}
+	for _, tr := range []Transport{Transport(7), Transport(-1)} {
+		cfg = churnConfig(churnChain(topo.OutageSpec{}), tr, 1)
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("New accepted %v", tr)
+			continue
+		}
+		for _, name := range []string{"INRPP", "AIMD", "ARC"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: error %q does not list %s", tr, err, name)
+			}
+		}
+	}
+}
+
+// TestFailoverIgnoredByE2ETransports: AIMD and ARC have no detours, so
+// the failover axis must change neither their report nor the metric set
+// they register — a reroute run registers no failover counters that
+// could only ever read zero.
+func TestFailoverIgnoredByE2ETransports(t *testing.T) {
+	run := func(tr Transport, mode FailoverMode) (*Report, []string) {
+		cfg := blackoutConfig(tr, mode, 1)
+		cfg.Obs = obs.New("failover-ignored")
+		rep := runFailure(t, cfg, 2, 300, 10*time.Second)
+		var names []string
+		for name := range cfg.Obs.Snapshot().Counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return rep, names
+	}
+	for _, tr := range []Transport{AIMD, ARC} {
+		hold, holdNames := run(tr, FailoverHold)
+		for _, mode := range []FailoverMode{FailoverReroute, FailoverBoth} {
+			rep, names := run(tr, mode)
+			if !reflect.DeepEqual(rep, hold) {
+				t.Errorf("%v/%v report differs from hold:\ngot:  %+v\nhold: %+v", tr, mode, rep, hold)
+			}
+			if !reflect.DeepEqual(names, holdNames) {
+				t.Errorf("%v/%v registered %d counters, hold %d:\ngot:  %v\nhold: %v",
+					tr, mode, len(names), len(holdNames), names, holdNames)
+			}
+		}
 	}
 }
 
@@ -244,12 +289,12 @@ func TestSRLGCorrelatedFailure(t *testing.T) {
 // request rate sits below the bottleneck, so the interface never enters
 // the congestion detour phase — only failover policy distinguishes the
 // strategies.
-func blackoutConfig(mode FailoverMode, seed int64) Config {
+func blackoutConfig(tr Transport, mode FailoverMode, seed int64) Config {
 	g, egress := failureDiamond(10 * units.Mbps)
 	g.SetLinkCalendar(egress, topo.CalendarSpec{Windows: []topo.Window{
 		{Start: time.Second, End: 5 * time.Minute},
 	}})
-	cfg := churnConfig(g, INRPP, seed)
+	cfg := churnConfig(g, tr, seed)
 	cfg.InitialRequestRate = 8 * units.Mbps
 	cfg.Failover = mode
 	return cfg
@@ -260,8 +305,8 @@ func blackoutConfig(mode FailoverMode, seed int64) Config {
 // while reroute evacuates it through the detour and completes.
 func TestFailoverBlackoutRerouteCompletesWhereHoldStalls(t *testing.T) {
 	const chunks, horizon = 300, 20 * time.Second
-	hold := runChurn(t, blackoutConfig(FailoverHold, 1), chunks, horizon)
-	reroute := runChurn(t, blackoutConfig(FailoverReroute, 1), chunks, horizon)
+	hold := runChurn(t, blackoutConfig(INRPP, FailoverHold, 1), chunks, horizon)
+	reroute := runChurn(t, blackoutConfig(INRPP, FailoverReroute, 1), chunks, horizon)
 	if _, ok := hold.Completions[1]; ok {
 		t.Fatalf("hold completed through a blackout (delivered %d)", hold.DeliveredPerFlow[1])
 	}
@@ -322,7 +367,7 @@ func TestFailoverFlutterHoldBeatsReroute(t *testing.T) {
 // Custody is kept small so back-pressure paces the sender and chunks are
 // still arriving at the failed router mid-blackout.
 func TestFailoverBothDetoursFreshHoldsBacklog(t *testing.T) {
-	cfg := blackoutConfig(FailoverBoth, 1)
+	cfg := blackoutConfig(INRPP, FailoverBoth, 1)
 	cfg.CustodyBytes = 500 * units.KB
 	rep := runChurn(t, cfg, 300, 20*time.Second)
 	if rep.DetourFailovers == 0 {

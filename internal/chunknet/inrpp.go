@@ -4,224 +4,71 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/route"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
 
-// flowState carries the endpoint state of one transfer for both
-// transports.
-type flowState struct {
-	tr       Transfer
-	dataPath route.Path // src → dst
-	reqPath  route.Path // dst → src
-	win      *core.Window
+// inrpp is the paper's transport (§3.2–3.3): paced receiver requests,
+// open-loop push at the source, and routers that pool custody, one-hop
+// detours and back-pressure. Its router side is the estimator tick (arm),
+// the back-pressure trigger (stored) and the push scheduler (pull).
+type inrpp struct{}
 
-	// Receiver side (INRPP): request pacing tracks the data arrival rate
-	// (§3.2, "the receiver continuously adjusts its requesting rate to
-	// the incoming data rate").
+// inrppFlow is one INRPP transfer's endpoint state.
+type inrppFlow struct {
+	flowState
+
+	// Receiver: request pacing tracks the data arrival rate (§3.2, "the
+	// receiver continuously adjusts its requesting rate to the incoming
+	// data rate").
 	rateEst  float64 // bits/s EWMA
 	lastData time.Duration
 	nextReq  int64 // next chunk to request
 	lastNack int64
-	nackAt   time.Duration // when lastNack was sent (INRPP re-arm)
-	done     bool
+	nackAt   time.Duration // when lastNack was sent (NACK re-arm)
+	// loopFn is the request loop, bound once so re-arming it does not
+	// allocate a closure per event.
+	loopFn func()
 
-	// Sender side (INRPP).
+	// Sender.
 	highestReq int64 // highest chunk covered by requests (incl. Ac)
 	nextSend   int64
 	resendQ    []int64
 	closedLoop bool
 	credits    int64 // closed loop: one chunk per arriving request
-
-	// AIMD sender / ARC receiver congestion state. cwnd, ssthresh, dup
-	// and rto are shared: AIMD runs the loop at the sender over data,
-	// ARC at the receiver over requests; a flow only ever uses one.
-	cwnd     float64
-	ssthresh float64
-	aimdNext int64
-	lastCum  int64
-	dup      int
-	rto      des.Timer
-
-	// ARC receiver: requests issued but not yet answered by data.
-	arcOut int64
-
-	// Pre-bound callbacks, so re-arming the request loop or an RTO timer
-	// does not allocate a fresh closure per event.
-	loopFn    func()
-	timeoutFn func()
-	// ARC adaptive RTO state (RFC 6298 over request→data samples): the
-	// send time of each outstanding first-transmission request (resends
-	// are never sampled — Karn's algorithm), the smoothed RTT estimate
-	// pair, and the exponential timeout backoff applied after each stall.
-	reqSent  map[int64]time.Duration
-	srtt     time.Duration
-	rttvar   time.Duration
-	rtoScale uint
 }
 
-// arrive dispatches a packet that reached the far end of arc a. Packets
-// that terminate here (delivered data, consumed requests/acks, control
-// notifications) return to the pool once their handler is done.
-func (s *Sim) arrive(p *packet, a *arcState) {
-	node := a.to
-	if len(p.rest) > 0 && p.rest[0] == node {
-		p.rest = p.rest[1:]
+func (inrpp) newFlow(s *Sim, base flowState) *flowState {
+	f := &inrppFlow{
+		flowState:  base,
+		rateEst:    float64(s.cfg.InitialRequestRate),
+		lastNack:   -1, // chunk 0 must be NACKable/re-requestable
+		highestReq: -1,
 	}
-	switch p.kind {
-	case pktData:
-		if len(p.rest) == 0 {
-			s.deliver(p)
-			s.freePacket(p)
-			return
-		}
-		s.forwardData(p, node)
-	case pktRequest:
-		if len(p.rest) == 0 {
-			s.onRequest(p)
-			s.freePacket(p)
-			return
-		}
-		s.forwardRequest(p, node)
-	case pktAck:
-		if len(p.rest) == 0 {
-			s.onAck(p)
-			s.freePacket(p)
-			return
-		}
-		s.forwardControl(p, node)
-	case pktBpOn:
-		s.onBackpressureOn(p, node)
-		s.freePacket(p)
-	case pktBpOff:
-		s.onBackpressureOff(p, node)
-		s.freePacket(p)
-	}
+	f.ep = f
+	f.loopFn = func() { f.requestLoop(s) }
+	src := s.nodes[f.tr.Src]
+	src.senders = append(src.senders, f)
+	return &f.flowState
 }
 
-// forwardData routes a data chunk one hop further, applying the detour
-// phase when the nominal outgoing interface is congested (§3.3) or —
-// under a reroute failover mode — when the interface is hard-down.
-func (s *Sim) forwardData(p *packet, node topo.NodeID) {
-	next := p.rest[0]
-	a := s.arcFor(node, next)
-	failover := s.cfg.Transport == INRPP && s.failoverDetour(a)
-	if s.cfg.Transport == INRPP && (s.shouldDetour(a) || failover) && p.detourBudget > 0 {
-		if via, ok := s.pickDetour(a, p); ok {
-			p.detourBudget--
-			if !p.detoured {
-				p.detoured = true
-				s.rep.ChunksDetoured++
-			}
-			if failover {
-				s.rep.DetourFailovers++
-				s.mDetourFailovers.Inc()
-			}
-			// Tunnel through via, rejoining the route at next. Rebuilt in
-			// place through the sim's scratch path, so detouring — the
-			// congested regime — stays allocation-free like plain
-			// forwarding.
-			s.pathScratch = append(s.pathScratch[:0], p.rest[1:]...)
-			p.rest = append(p.rest[:0], via, next)
-			p.rest = append(p.rest, s.pathScratch...)
-			a = s.arcFor(node, via)
-			s.mDetoured.Inc()
-			a.cDetourBytes.Add(int64(p.size))
-			s.emitTrace("detour", p.flow, a.name, p.seq, 0)
-		}
-	}
-	// send() reads prevHop as the upstream to back-pressure, so update it
-	// only afterwards (same call stack: the stored packet carries the new
-	// value downstream). A dropped packet belongs to us again: recycle.
-	if !a.send(p) {
-		s.freePacket(p)
-		return
-	}
-	p.prevHop = node
+// arm starts the periodic estimator tick on every router.
+func (inrpp) arm(s *Sim, until time.Duration) {
+	s.everyTi(until, s.tickEstimators)
 }
 
-// shouldDetour reports whether the arc's interface is in the detour phase
-// with actual backlog to shift.
-func (s *Sim) shouldDetour(a *arcState) bool {
-	return a.iface.Phase() == core.PhaseDetour && (a.busy || a.store.Len() > 0)
-}
+func (f *inrppFlow) start(s *Sim) { f.requestLoop(s) }
 
-// pickDetour selects a one-hop detour neighbour around arc a with the
-// most spare measured capacity, spreading consecutive chunks across
-// viable candidates (the flowlet splitting of §3.3). Only one-hop
-// candidates qualify: the extra hop budget is the packet's to spend.
-func (s *Sim) pickDetour(a *arcState, p *packet) (topo.NodeID, bool) {
-	// The candidate list lives in a sim-level scratch slice: pickDetour
-	// runs per forwarded chunk in the congested regime, where a fresh
-	// slice per call would break forwardData's allocation-free promise.
-	viable := s.detourScratch[:0]
-	for _, sub := range s.planner.Candidates(a.arc.Link, a.arc.Dir) {
-		if sub.Extra != 1 {
-			continue
-		}
-		via := sub.Path[1]
-		out := s.arcFor(a.from, via)
-		back := s.arcFor(via, a.to)
-		if out.measuredResidual() > 0 && back.measuredResidual() > 0 {
-			viable = append(viable, via)
-		}
-	}
-	s.detourScratch = viable
-	if len(viable) == 0 {
-		return 0, false
-	}
-	return viable[int(p.seq)%len(viable)], true
-}
-
-// forwardRequest records the request at this router's estimator (eq. 1)
-// and forwards it toward the content source.
-func (s *Sim) forwardRequest(p *packet, node topo.NodeID) {
-	ns := s.nodes[node]
-	next := p.rest[0]
-	if ns.est != nil {
-		via := ns.ifaceTo[next]
-		if dataIface := ns.ifaceTo[p.prevHop]; dataIface >= 0 {
-			ns.est.RecordRequest(via, dataIface, 1)
-		}
-	}
-	s.routeControl(node, p)
-}
-
-// forwardControl moves acks and other control packets along their path.
-func (s *Sim) forwardControl(p *packet, node topo.NodeID) {
-	s.routeControl(node, p)
-}
-
-// deliver hands a data chunk to its receiver.
-func (s *Sim) deliver(p *packet) {
-	f := s.flows[p.flow]
+// atReceiver tracks the incoming data rate for request pacing.
+func (f *inrppFlow) atReceiver(s *Sim, _ int64) {
 	now := s.des.Now()
-	if !f.win.OnData(p.seq) {
-		return // duplicate
-	}
-	s.rep.ChunksDelivered++
-	s.mDelivered.Inc()
-	// Track the incoming data rate for request pacing.
 	gap := (now - f.lastData).Seconds()
 	if f.lastData > 0 && gap > 0 {
 		sample := s.cfg.ChunkSize.Bits() / gap
 		f.rateEst = 0.75*f.rateEst + 0.25*sample
 	}
 	f.lastData = now
-	switch s.cfg.Transport {
-	case AIMD:
-		s.aimdAckData(f)
-	case ARC:
-		s.arcOnData(f, p.seq)
-	}
-	if f.win.Done() && !f.done {
-		f.done = true
-		s.rep.Completions[f.tr.ID] = now - f.tr.Start
-		s.mCompleted.Inc()
-		s.emitTrace("transfer_done", f.tr.ID, "", 0, (now - f.tr.Start).Seconds())
-	}
 }
 
 // nackStall is the INRPP receiver's stall threshold: no data for this
@@ -234,7 +81,7 @@ const nackStall = 300 * time.Millisecond
 // the estimated data rate, re-requesting stalled chunks via explicit
 // NACK-like asks (§3.2: losses are identified by explicit timers or
 // NACKs, not by out-of-order delivery).
-func (s *Sim) requestLoop(f *flowState) {
+func (f *inrppFlow) requestLoop(s *Sim) {
 	if f.done {
 		return
 	}
@@ -243,7 +90,7 @@ func (s *Sim) requestLoop(f *flowState) {
 	limit := req.Anticipated
 	switch {
 	case f.nextReq <= limit && f.nextReq < f.tr.Chunks:
-		s.sendRequest(f, f.nextReq, false)
+		s.sendToSource(&f.flowState, pktRequest, f.nextReq, false)
 		f.nextReq++
 	case f.win.Next() < f.nextReq && now-f.lastData > nackStall:
 		// Stalled: re-request the first missing chunk once per stall
@@ -255,7 +102,7 @@ func (s *Sim) requestLoop(f *flowState) {
 		if missing := f.win.Next(); missing != f.lastNack || now-f.nackAt > nackStall {
 			f.lastNack = missing
 			f.nackAt = now
-			s.sendRequest(f, missing, true)
+			s.sendToSource(&f.flowState, pktRequest, missing, true)
 		}
 	}
 	interval := time.Duration(s.cfg.ChunkSize.Bits() / f.rateEst * float64(time.Second))
@@ -268,34 +115,10 @@ func (s *Sim) requestLoop(f *flowState) {
 	s.des.After(interval, f.loopFn)
 }
 
-func (s *Sim) sendRequest(f *flowState, seq int64, resend bool) {
-	p := s.newPacket()
-	p.kind = pktRequest
-	p.flow = f.tr.ID
-	p.seq = seq
-	p.size = s.cfg.RequestSize
-	p.rest = append(p.rest, f.reqPath[1:]...)
-	p.prevHop = f.tr.Dst
-	p.resend = resend
-	if len(f.reqPath) == 1 {
-		// Degenerate: source and receiver on the same node.
-		s.onRequest(p)
-		s.freePacket(p)
-		return
-	}
-	s.routeControl(f.tr.Dst, p)
-}
-
-// onRequest is the INRPP sender's request handler: extend the pushed
+// atSource is the INRPP sender's request handler: extend the pushed
 // horizon by the anticipation window, grant a closed-loop credit, queue
-// explicit resends, and kick the outgoing serializer. ARC requests take
-// their own strict one-request-one-chunk path.
-func (s *Sim) onRequest(p *packet) {
-	if s.cfg.Transport == ARC {
-		s.arcOnRequest(p)
-		return
-	}
-	f := s.flows[p.flow]
+// explicit resends, and kick the outgoing serializer.
+func (f *inrppFlow) atSource(s *Sim, p *packet) {
 	horizon := p.seq + s.cfg.Anticipation
 	if horizon > f.tr.Chunks-1 {
 		horizon = f.tr.Chunks - 1
@@ -309,55 +132,37 @@ func (s *Sim) onRequest(p *packet) {
 	if f.closedLoop {
 		f.credits++
 	}
-	s.kickSender(f)
-}
-
-// kickSender pokes the sender's outgoing arc so the pull scheduler runs.
-func (s *Sim) kickSender(f *flowState) {
-	if len(f.dataPath) < 2 {
-		// Same-node transfer: deliver directly.
-		for {
-			seq, ok := s.senderNextSeq(f)
-			if !ok {
-				return
-			}
-			p := s.makeDataPacket(f, seq)
-			s.deliver(p)
-			s.freePacket(p)
-		}
-	}
+	// Poke the sender's outgoing arc so the push scheduler runs.
 	s.arcFor(f.tr.Src, f.dataPath[1]).kick()
 }
 
-// nextSenderChunk is the open-loop push scheduler: when a sender-adjacent
-// arc goes idle it pulls the next chunk, round-robin across the flows
-// rooted at that node — processor sharing at chunk granularity (§3.2).
-func (s *Sim) nextSenderChunk(a *arcState) *packet {
-	if s.cfg.Transport != INRPP {
-		return nil
-	}
+// pull is the open-loop push scheduler: when a sender-adjacent arc goes
+// idle it pulls the next chunk, round-robin across the flows rooted at
+// that node — processor sharing at chunk granularity (§3.2).
+func (inrpp) pull(s *Sim, a *arcState) *packet {
 	node := s.nodes[a.from]
 	n := len(node.senders)
 	for i := 0; i < n; i++ {
-		id := node.senders[(node.schedRR+i)%n]
-		f := s.flows[id]
-		if len(f.dataPath) < 2 || f.dataPath[1] != a.to {
+		f := node.senders[(node.schedRR+i)%n]
+		if f.dataPath[1] != a.to {
 			continue // this flow leaves through a different interface
 		}
-		seq, ok := s.senderNextSeq(f)
+		seq, ok := f.nextSeq(s)
 		if !ok {
 			continue
 		}
 		node.schedRR = (node.schedRR + i + 1) % n
-		return s.makeDataPacket(f, seq)
+		p := s.makeDataPacket(&f.flowState, seq)
+		p.detourBudget = 1 // detour nodes take "one extra hop only"
+		return p
 	}
 	return nil
 }
 
-// senderNextSeq yields the next chunk a sender may push for flow f:
-// explicit resends first, then sequential chunks up to the requested
-// horizon (open loop) or per credit (closed loop).
-func (s *Sim) senderNextSeq(f *flowState) (int64, bool) {
+// nextSeq yields the next chunk the sender may push: explicit resends
+// first, then sequential chunks up to the requested horizon (open loop)
+// or per credit (closed loop).
+func (f *inrppFlow) nextSeq(s *Sim) (int64, bool) {
 	if len(f.resendQ) > 0 {
 		seq := f.resendQ[0]
 		f.resendQ = f.resendQ[1:]
@@ -379,27 +184,60 @@ func (s *Sim) senderNextSeq(f *flowState) (int64, bool) {
 	return seq, true
 }
 
-func (s *Sim) makeDataPacket(f *flowState, seq int64) *packet {
-	s.rep.ChunksSent++
-	s.mSent.Inc()
-	p := s.newPacket()
-	p.kind = pktData
-	p.flow = f.tr.ID
-	p.seq = seq
-	p.size = s.cfg.ChunkSize
-	p.rest = append(p.rest, f.dataPath[1:]...)
-	p.prevHop = f.tr.Src
-	p.detourBudget = 1
-	return p
+// shouldDetour reports whether the arc's interface is in the detour phase
+// with actual backlog to shift.
+func (s *Sim) shouldDetour(a *arcState) bool {
+	return a.iface.Phase() == core.PhaseDetour && (a.busy || a.store.Len() > 0)
 }
 
-// checkBackpressure fires the back-pressure phase when a store crosses
-// its high watermark: the congested node explicitly informs the one-hop
-// upstream neighbour that delivered the triggering chunk (§3.3).
-func (s *Sim) checkBackpressure(a *arcState, p *packet) {
-	if s.cfg.Transport != INRPP {
-		return
+// pickDetour selects a one-hop detour neighbour around arc a whose two
+// detour arcs both have spare measured capacity.
+func (s *Sim) pickDetour(a *arcState, p *packet) (topo.NodeID, bool) {
+	return s.pickVia(a, p.seq, func(out, back *arcState) bool {
+		return out.measuredResidual() > 0 && back.measuredResidual() > 0
+	})
+}
+
+// pickVia selects a one-hop detour neighbour via around arc a whose arcs
+// out (a.from→via) and back (via→a.to) pass viable, spreading consecutive
+// chunks across the candidates by seq (the flowlet splitting of §3.3).
+// Only one-hop candidates qualify: the extra hop budget is the packet's
+// to spend. The candidate list lives in a sim-level scratch slice:
+// detours run per forwarded chunk in the congested regime, where a fresh
+// slice per call would break forwarding's allocation-free promise.
+func (s *Sim) pickVia(a *arcState, seq int64, viable func(out, back *arcState) bool) (topo.NodeID, bool) {
+	vias := s.detourScratch[:0]
+	for _, sub := range s.planner.Candidates(a.arc.Link, a.arc.Dir) {
+		if sub.Extra != 1 {
+			continue
+		}
+		via := sub.Path[1]
+		if viable(s.arcFor(a.from, via), s.arcFor(via, a.to)) {
+			vias = append(vias, via)
+		}
 	}
+	s.detourScratch = vias
+	if len(vias) == 0 {
+		return 0, false
+	}
+	return vias[int(seq)%len(vias)], true
+}
+
+// tunnel splices via in front of p's next hop, so p takes the one-hop
+// detour and rejoins its route there. The route is rebuilt in place
+// through the sim's scratch path, so detouring stays allocation-free
+// like plain forwarding.
+func (s *Sim) tunnel(p *packet, via topo.NodeID) {
+	next := p.rest[0]
+	s.pathScratch = append(s.pathScratch[:0], p.rest[1:]...)
+	p.rest = append(p.rest[:0], via, next)
+	p.rest = append(p.rest, s.pathScratch...)
+}
+
+// stored is the back-pressure trigger: when a store crosses its high
+// watermark, the congested node explicitly informs the one-hop upstream
+// neighbour that delivered the triggering chunk (§3.3).
+func (inrpp) stored(s *Sim, a *arcState, p *packet) {
 	if a.occupancyFraction() < s.cfg.BackpressureHigh {
 		return
 	}
@@ -428,14 +266,6 @@ func (s *Sim) checkBackpressure(a *arcState, p *packet) {
 	s.sendControl(a.from, up, p2)
 }
 
-// sendControl sends a one-hop control packet from node from to its
-// neighbour to.
-func (s *Sim) sendControl(from, to topo.NodeID, p *packet) {
-	p.prevHop = from
-	p.rest = append(p.rest[:0], to)
-	s.arcFor(from, to).send(p)
-}
-
 // onBackpressureOn handles a slow-down notification at the upstream node:
 // senders flip the affected flows into closed-loop mode; transit nodes
 // throttle their arc toward the congested node, which (as their own
@@ -443,9 +273,8 @@ func (s *Sim) sendControl(from, to topo.NodeID, p *packet) {
 func (s *Sim) onBackpressureOn(p *packet, node topo.NodeID) {
 	ns := s.nodes[node]
 	congested := p.bpArc
-	for _, id := range ns.senders {
-		f := s.flows[id]
-		if !f.closedLoop && pathUsesArc(s.g, f.dataPath, congested) {
+	for _, f := range ns.senders {
+		if !f.closedLoop && s.pathUsesArc(f.dataPath, congested) {
 			f.closedLoop = true
 			s.rep.ClosedLoopEntries++
 		}
@@ -465,11 +294,10 @@ func (s *Sim) onBackpressureOn(p *packet, node topo.NodeID) {
 // notification from the same neighbour.
 func (s *Sim) onBackpressureOff(p *packet, node topo.NodeID) {
 	ns := s.nodes[node]
-	for _, id := range ns.senders {
-		f := s.flows[id]
-		if f.closedLoop && pathUsesArc(s.g, f.dataPath, p.bpArc) {
+	for _, f := range ns.senders {
+		if f.closedLoop && s.pathUsesArc(f.dataPath, p.bpArc) {
 			f.closedLoop = false
-			s.kickSender(f)
+			s.arcFor(f.tr.Src, f.dataPath[1]).kick()
 		}
 	}
 	a := s.arcFor(node, p.prevHop)
@@ -510,13 +338,10 @@ func (s *Sim) tickEstimators() {
 }
 
 // pathUsesArc reports whether the path traverses the given directed arc.
-func pathUsesArc(g *topo.Graph, p route.Path, arc topo.Arc) bool {
+func (s *Sim) pathUsesArc(p route.Path, arc topo.Arc) bool {
+	idx := int32(2*int(arc.Link) + int(arc.Dir))
 	for i := 0; i+1 < len(p); i++ {
-		l, ok := g.LinkBetween(p[i], p[i+1])
-		if !ok {
-			continue
-		}
-		if l.ID == arc.Link && l.DirectionFrom(p[i]) == arc.Dir {
+		if s.nodes[p[i]].arcTo[p[i+1]] == idx {
 			return true
 		}
 	}

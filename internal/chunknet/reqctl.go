@@ -9,10 +9,6 @@ package chunknet
 // is the middle point that separates how much of INRPP's gain comes from
 // in-network resource pooling versus from receiver-driven pull alone.
 //
-// (Not to be confused with arcState in arc.go, which is one direction of
-// one link; the name collision is historical — "arc" the graph edge
-// predates ARC the transport.)
-//
 // The stall timer is adaptive: request→data RTTs (first transmissions
 // only, per Karn's algorithm) feed an RFC 6298 SRTT/RTTVAR estimator, and
 // the timeout is SRTT + 4·RTTVAR with exponential backoff, floored at
@@ -22,57 +18,81 @@ package chunknet
 
 import "time"
 
-// arcStart opens an ARC flow: prime the request window and arm the stall
-// timer.
-func (s *Sim) arcStart(f *flowState) {
-	s.arcRequestMore(f)
-	s.arcResetRTO(f)
+// reqctl is the ARC transport.
+type reqctl struct{ e2e }
+
+// reqctlFlow is one ARC transfer's endpoint state: the receiver's
+// request window and its adaptive stall timer.
+type reqctlFlow struct {
+	e2eFlow
+	nextReq     int64 // next new chunk to request
+	outstanding int64 // requests issued but not yet answered by data
+	lastNack    int64 // hole last fast re-requested
+	// RFC 6298 state over request→data samples: the send time of each
+	// outstanding first-transmission request (resends are never sampled —
+	// Karn's algorithm), the smoothed RTT estimate pair, and the
+	// exponential timeout backoff applied after each stall.
+	reqSent  map[int64]time.Duration
+	srtt     time.Duration
+	rttvar   time.Duration
+	rtoScale uint
 }
 
-// arcRequestMore issues requests while the AIMD window has room. Each
-// request asks for exactly one chunk; the sender answers with that chunk
-// and nothing else. First transmissions are timestamped so the matching
+func (reqctl) newFlow(s *Sim, base flowState) *flowState {
+	f := &reqctlFlow{
+		e2eFlow:  newE2EFlow(base),
+		lastNack: -1,
+		reqSent:  make(map[int64]time.Duration),
+	}
+	f.ep = f
+	f.timeoutFn = func() { f.timeout(s) }
+	return &f.flowState
+}
+
+// start primes the request window and arms the stall timer.
+func (f *reqctlFlow) start(s *Sim) {
+	f.requestMore(s)
+	f.rearm(s, f.stallTimeout(s))
+}
+
+// requestMore issues requests while the window has room. Each request
+// asks for exactly one chunk; the sender answers with that chunk and
+// nothing else. First transmissions are timestamped so the matching
 // delivery yields a request→data RTT sample for the adaptive stall timer.
-func (s *Sim) arcRequestMore(f *flowState) {
-	for f.nextReq < f.tr.Chunks && float64(f.arcOut) < f.cwnd {
+func (f *reqctlFlow) requestMore(s *Sim) {
+	for f.nextReq < f.tr.Chunks && float64(f.outstanding) < f.cwnd {
 		f.reqSent[f.nextReq] = s.des.Now()
-		s.sendRequest(f, f.nextReq, false)
+		s.sendToSource(&f.flowState, pktRequest, f.nextReq, false)
 		f.nextReq++
-		f.arcOut++
+		f.outstanding++
 	}
 }
 
-// arcOnRequest is the ARC sender: answer the requested chunk directly — a
+// atSource is the ARC sender: answer the requested chunk directly — a
 // strict one-request-one-chunk closed loop, with no anticipation horizon
 // and no open-loop push.
-func (s *Sim) arcOnRequest(p *packet) {
-	f := s.flows[p.flow]
+func (f *reqctlFlow) atSource(s *Sim, p *packet) {
 	if p.resend {
 		s.rep.Retransmits++
 		s.mRetransmits.Inc()
 	}
-	s.sendChunkE2E(f, p.seq)
+	f.sendChunk(s, p.seq)
 }
 
-// arcOnData runs at the receiver on every delivery: sample the
-// request→data RTT (first transmissions only), decrement the outstanding
-// count, grow the window (slow start, then congestion avoidance), detect
-// holes — three deliveries past a missing chunk trigger a fast
+// atReceiver runs on every delivery: sample the request→data RTT (first
+// transmissions only), decrement the outstanding count, grow the window,
+// detect holes — three deliveries past a missing chunk trigger a fast
 // re-request, the receiver-side analogue of triple duplicate acks — and
 // refill the window.
-func (s *Sim) arcOnData(f *flowState, seq int64) {
+func (f *reqctlFlow) atReceiver(s *Sim, seq int64) {
 	if sent, ok := f.reqSent[seq]; ok {
 		delete(f.reqSent, seq)
-		s.arcObserveRTT(f, s.des.Now()-sent)
+		f.observeRTT(s.des.Now() - sent)
 	}
-	if f.arcOut > 0 {
-		f.arcOut--
+	if f.outstanding > 0 {
+		f.outstanding--
 	}
-	if f.cwnd < f.ssthresh {
-		f.cwnd++
-	} else {
-		f.cwnd += 1 / f.cwnd
-	}
+	f.grow()
 	if seq > f.win.Next() {
 		f.dup++
 		// One fast re-request (and one window halving) per hole: with a
@@ -84,15 +104,16 @@ func (s *Sim) arcOnData(f *flowState, seq int64) {
 		if f.dup >= 3 && f.win.Next() != f.lastNack {
 			f.dup = 0
 			f.lastNack = f.win.Next()
-			s.arcHalveWindow(f)
+			f.halve()
 			// Karn's algorithm: a re-requested chunk's eventual delivery
 			// must not produce an RTT sample — it could answer either
 			// transmission.
 			delete(f.reqSent, f.win.Next())
 			// The re-request reuses the lost request's outstanding slot
 			// (that request was counted but its data will never arrive),
-			// so arcOut must not grow — mirroring TCP pipe accounting.
-			s.sendRequest(f, f.win.Next(), true)
+			// so outstanding must not grow — mirroring TCP pipe
+			// accounting.
+			s.sendToSource(&f.flowState, pktRequest, f.win.Next(), true)
 		}
 	} else {
 		f.dup = 0
@@ -101,23 +122,14 @@ func (s *Sim) arcOnData(f *flowState, seq int64) {
 		f.rto.Cancel()
 		return
 	}
-	s.arcResetRTO(f)
-	s.arcRequestMore(f)
+	f.rearm(s, f.stallTimeout(s))
+	f.requestMore(s)
 }
 
-// arcHalveWindow applies the multiplicative decrease.
-func (s *Sim) arcHalveWindow(f *flowState) {
-	f.ssthresh = f.cwnd / 2
-	if f.ssthresh < 2 {
-		f.ssthresh = 2
-	}
-	f.cwnd = f.ssthresh
-}
-
-// arcObserveRTT folds one request→data sample into the smoothed estimate
+// observeRTT folds one request→data sample into the smoothed estimate
 // pair, RFC 6298-style, and releases any timeout backoff — fresh samples
 // mean the path is alive again.
-func (s *Sim) arcObserveRTT(f *flowState, rtt time.Duration) {
+func (f *reqctlFlow) observeRTT(rtt time.Duration) {
 	if f.srtt == 0 {
 		f.srtt = rtt
 		f.rttvar = rtt / 2
@@ -132,11 +144,11 @@ func (s *Sim) arcObserveRTT(f *flowState, rtt time.Duration) {
 	f.rtoScale = 0
 }
 
-// arcRTO computes the stall timer: SRTT + 4·RTTVAR, doubled per
+// stallTimeout computes the stall timer: SRTT + 4·RTTVAR, doubled per
 // consecutive timeout, floored at MinRTO and capped at the fixed RTO —
 // the adaptive timer is never slower than the legacy coarse one. Before
 // the first sample the fixed RTO stands in.
-func (s *Sim) arcRTO(f *flowState) time.Duration {
+func (f *reqctlFlow) stallTimeout(s *Sim) time.Duration {
 	if f.srtt == 0 {
 		return s.cfg.RTO
 	}
@@ -153,19 +165,13 @@ func (s *Sim) arcRTO(f *flowState) time.Duration {
 	return rto
 }
 
-// arcResetRTO (re)arms the receiver's stall timer.
-func (s *Sim) arcResetRTO(f *flowState) {
-	f.rto.Cancel()
-	f.rto = s.des.After(s.arcRTO(f), f.timeoutFn)
-}
-
-// arcTimeout is the stall recovery: collapse the window to one request
-// and re-ask for the first missing chunk. When nothing is missing the
+// timeout is the stall recovery: collapse the window to one request and
+// re-ask for the first missing chunk. When nothing is missing the
 // outstanding count merely drifted (a duplicate delivery was discarded),
 // so reset it and refill. Each consecutive timeout doubles the adaptive
 // timer (up to the fixed RTO cap), so a dead path backs off instead of
 // re-requesting at RTT cadence.
-func (s *Sim) arcTimeout(f *flowState) {
+func (f *reqctlFlow) timeout(s *Sim) {
 	if f.done || f.win.Done() {
 		return
 	}
@@ -174,19 +180,15 @@ func (s *Sim) arcTimeout(f *flowState) {
 	if f.rtoScale < 16 {
 		f.rtoScale++
 	}
-	f.ssthresh = f.cwnd / 2
-	if f.ssthresh < 2 {
-		f.ssthresh = 2
-	}
-	f.cwnd = 1
+	f.collapse()
 	f.dup = 0
 	if f.win.Next() < f.nextReq {
 		delete(f.reqSent, f.win.Next()) // Karn: the resend answer is ambiguous
-		s.sendRequest(f, f.win.Next(), true)
-		f.arcOut = 1
+		s.sendToSource(&f.flowState, pktRequest, f.win.Next(), true)
+		f.outstanding = 1
 	} else {
-		f.arcOut = 0
-		s.arcRequestMore(f)
+		f.outstanding = 0
+		f.requestMore(s)
 	}
-	s.arcResetRTO(f)
+	f.rearm(s, f.stallTimeout(s))
 }
