@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -74,10 +75,12 @@ type arcState struct {
 
 	// The serializer holds at most one packet (txPkt); serialised packets
 	// enter the propagation pipe and arrive in FIFO order after the arc's
-	// fixed delay. Both callbacks are bound once at construction, so
+	// fixed delay. Each pipe entry carries the DES key its arrival
+	// reserved, and only the head's key is queued in the DES heap (see
+	// txDone). Both callbacks are bound once at construction, so
 	// transmitting allocates nothing.
 	txPkt    *packet
-	pipe     []*packet
+	pipe     []inFlight
 	pipeHead int
 	txDoneFn func()
 	arriveFn func()
@@ -87,9 +90,9 @@ type arcState struct {
 	lastRate units.BitRate // EWMA-smoothed measured throughput
 	antRate  units.BitRate // EWMA-smoothed anticipated rate (eq. 1)
 
-	bpActive   bool                 // this arc has signalled back-pressure
-	bpNotified map[topo.NodeID]bool // neighbors notified
-	limited    bool                 // capRate reduced by an upstream notification
+	bpActive   bool          // this arc has signalled back-pressure
+	bpNotified []topo.NodeID // neighbors notified, in notification order
+	limited    bool          // capRate reduced by an upstream notification
 
 	// Failure state (see churn.go). outage is the arc's own declared churn
 	// process and calendar its scheduled maintenance; the SRLG processes
@@ -141,6 +144,13 @@ type arcState struct {
 	cDownTransitions *obs.Counter
 	hDownSeconds     *obs.Histogram
 	cPktsLostRandom  *obs.Counter
+}
+
+// inFlight is one packet in an arc's propagation pipe with the DES key
+// reserved for its arrival.
+type inFlight struct {
+	p   *packet
+	key des.Key
 }
 
 // newPacket takes a packet from the pool (all fields zero, rest empty
@@ -265,9 +275,14 @@ func (a *arcState) transmit(p *packet) {
 }
 
 // txDone runs when serialisation finishes: the packet enters the
-// propagation pipe (arrivals fire in FIFO order — the delay is constant
-// per arc, so schedule order is arrival order) and the serializer picks
-// up its next packet.
+// propagation pipe and the serializer picks up its next packet. The
+// arrival takes its DES key now, exactly where a plain After would, but
+// only the pipe's head is queued in the DES heap: the delay is constant
+// per arc, so arrivals on an arc are FIFO in (at, seq), the head holds
+// the arc's smallest key, and deliverHead queues the next head before
+// any larger key can fire. The firing order is the one a heap entry per
+// packet would give, with the heap holding one arrival per arc instead
+// of one per packet in propagation.
 func (a *arcState) txDone() {
 	p := a.txPkt
 	a.txPkt = nil
@@ -281,19 +296,31 @@ func (a *arcState) txDone() {
 		a.kick()
 		return
 	}
-	a.pipe = append(a.pipe, p)
-	a.sim.des.After(a.delay, a.arriveFn)
+	key := a.sim.des.Reserve(a.delay)
+	a.pipe = append(a.pipe, inFlight{p: p, key: key})
+	if len(a.pipe)-a.pipeHead == 1 {
+		a.sim.des.AtKey(key, a.arriveFn)
+	}
 	a.kick()
 }
 
-// deliverHead hands the oldest in-flight packet to the far end.
+// deliverHead hands the oldest in-flight packet to the far end and queues
+// the arrival of the next one.
 func (a *arcState) deliverHead() {
-	p := a.pipe[a.pipeHead]
-	a.pipe[a.pipeHead] = nil
+	p := a.pipe[a.pipeHead].p
+	a.pipe[a.pipeHead] = inFlight{}
 	a.pipeHead++
 	if a.pipeHead == len(a.pipe) {
 		a.pipe = a.pipe[:0]
 		a.pipeHead = 0
+	} else {
+		a.sim.des.AtKey(a.pipe[a.pipeHead].key, a.arriveFn)
+		// Compact once the dead prefix dominates, as pktq does: a
+		// continuously busy arc never drains its pipe to empty.
+		if a.pipeHead > 64 && a.pipeHead*2 > len(a.pipe) {
+			a.pipe = append(a.pipe[:0], a.pipe[a.pipeHead:]...)
+			a.pipeHead = 0
+		}
 	}
 	if a.pipeDoomed > 0 {
 		// This packet was in the pipe when the arc hard-failed; the pipe
@@ -366,12 +393,12 @@ func (a *arcState) maybeReleaseBackpressure() {
 	a.bpActive = false
 	a.sim.mBpOff.Inc()
 	a.sim.emitTrace("backpressure_off", 0, a.name, 0, a.occupancyFraction())
-	for n := range a.bpNotified {
+	for _, n := range a.bpNotified {
 		p := a.sim.newPacket()
 		p.kind = pktBpOff
 		p.size = a.sim.cfg.RequestSize
 		p.bpArc = a.arc
 		a.sim.sendControl(a.from, n, p)
 	}
-	a.bpNotified = nil
+	a.bpNotified = a.bpNotified[:0]
 }

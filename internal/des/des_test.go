@@ -102,24 +102,48 @@ func TestStaleTimerCancel(t *testing.T) {
 	}
 }
 
-// TestScheduleAllocFree verifies the steady-state scheduling path reuses
-// pooled events instead of allocating.
-func TestScheduleAllocFree(t *testing.T) {
-	s := New()
-	// Warm the pool and the heap's backing array.
-	for i := 0; i < 64; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			s.After(time.Duration(i%7)*time.Millisecond, func() {})
+// scheduleAllocs reports the allocations per steady-state round of 32
+// events, scheduled through After or through Reserve followed by AtKey,
+// once the slot table, free list and heap array are warm.
+func scheduleAllocs(s *Simulator, reserve bool) float64 {
+	round := func(n int) {
+		for i := 0; i < n; i++ {
+			d := time.Duration(i%7) * time.Millisecond
+			if reserve {
+				s.AtKey(s.Reserve(d), func() {})
+			} else {
+				s.After(d, func() {})
+			}
 		}
 		s.Run()
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state scheduling allocates %.1f objects per run, want 0", allocs)
 	}
+	round(64)
+	return testing.AllocsPerRun(100, func() { round(32) })
+}
+
+// TestScheduleAllocFree verifies the steady-state scheduling path reuses
+// pooled slots instead of allocating, on both scheduling paths.
+func TestScheduleAllocFree(t *testing.T) {
+	for _, reserve := range []bool{false, true} {
+		if allocs := scheduleAllocs(New(), reserve); allocs > 0 {
+			t.Errorf("steady-state scheduling (reserve=%v) allocates %.1f objects per run, want 0", reserve, allocs)
+		}
+	}
+}
+
+// TestAtKeyPastPanics pins that a reserved key whose time has passed
+// cannot be queued: it would fire behind events it must precede.
+func TestAtKeyPastPanics(t *testing.T) {
+	s := New()
+	k := s.Reserve(time.Second)
+	s.After(2*time.Second, func() {})
+	s.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("AtKey on a key earlier than now did not panic")
+		}
+	}()
+	s.AtKey(k, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
@@ -234,19 +258,238 @@ func TestInstrument(t *testing.T) {
 // the steady-state scheduling path allocation-free too: counter and gauge
 // updates are plain atomics.
 func TestInstrumentedScheduleAllocFree(t *testing.T) {
-	s := New()
-	s.Instrument(obs.New("des"))
-	for i := 0; i < 64; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			s.After(time.Duration(i%7)*time.Millisecond, func() {})
+	for _, reserve := range []bool{false, true} {
+		s := New()
+		s.Instrument(obs.New("des"))
+		if allocs := scheduleAllocs(s, reserve); allocs > 0 {
+			t.Errorf("instrumented scheduling (reserve=%v) allocates %.1f objects per run, want 0", reserve, allocs)
 		}
-		s.Run()
+	}
+}
+
+// modelEvent is the oracle's view of one scheduled event.
+type modelEvent struct {
+	at        time.Duration
+	seq       uint64
+	queued    bool // false while a Reserve key awaits AtKey
+	cancelled bool
+	key       Key   // the reserved key, kept until AtKey
+	timer     Timer // issued once queued
+}
+
+// model drives a Simulator with random operations and checks every
+// firing against a naive oracle: the pending events sorted by (at, seq).
+type model struct {
+	t       *testing.T
+	rng     *rand.Rand
+	s       *Simulator
+	now     time.Duration
+	seq     uint64
+	pending []*modelEvent
+	issued  []*modelEvent // every queued event, fired ones included
+	budget  int           // events left to schedule
+	inRun   bool
+	stopped bool
+	fired   int
+}
+
+// next is the oracle's next event to fire: the smallest (at, seq) among
+// the live ones, or nil.
+func (m *model) next() *modelEvent {
+	live := m.pending[:0:0]
+	for _, e := range m.pending {
+		if !e.cancelled {
+			live = append(live, e)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].at != live[j].at {
+			return live[i].at < live[j].at
+		}
+		return live[i].seq < live[j].seq
 	})
-	if allocs > 0 {
-		t.Errorf("instrumented scheduling allocates %.1f objects per run, want 0", allocs)
+	if len(live) == 0 {
+		return nil
+	}
+	return live[0]
+}
+
+// take issues the oracle's key for an event at t.
+func (m *model) take(t time.Duration) *modelEvent {
+	if t < m.now {
+		t = m.now
+	}
+	e := &modelEvent{at: t, seq: m.seq}
+	m.seq++
+	m.budget--
+	m.pending = append(m.pending, e)
+	return e
+}
+
+func (m *model) fire(e *modelEvent) func() {
+	return func() {
+		if m.stopped {
+			m.t.Fatalf("event %d fired after Stop", e.seq)
+		}
+		want := m.next()
+		if want != e {
+			m.t.Fatalf("fired event at %v seq %d, oracle expects %+v", e.at, e.seq, want)
+		}
+		if m.s.Now() != e.at {
+			m.t.Fatalf("event %d fired at %v, scheduled for %v", e.seq, m.s.Now(), e.at)
+		}
+		m.now = e.at
+		m.remove(e)
+		m.fired++
+		for n := m.rng.Intn(3); n > 0; n-- {
+			m.op(false)
+		}
+		if m.inRun && m.rng.Intn(20) == 0 {
+			m.s.Stop()
+			m.stopped = true
+		}
+		m.flush()
+	}
+}
+
+func (m *model) remove(e *modelEvent) {
+	for i, p := range m.pending {
+		if p == e {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// flush upholds AtKey's contract: a reserved key is queued before any
+// event with a larger key fires, so whenever the oracle's next event is
+// a reservation, queue it now.
+func (m *model) flush() {
+	if e := m.next(); e != nil && !e.queued {
+		m.queue(e)
+	}
+}
+
+func (m *model) queue(e *modelEvent) {
+	e.queued = true
+	e.timer = m.s.AtKey(e.key, m.fire(e))
+	m.issued = append(m.issued, e)
+}
+
+// op performs one random scheduling operation; top-level calls may also
+// advance the simulation.
+func (m *model) op(top bool) {
+	n := 5
+	if top {
+		n = 9
+	}
+	switch m.rng.Intn(n) {
+	case 0: // At, possibly in the past
+		if m.budget > 0 {
+			t := m.now + time.Duration(m.rng.Intn(40)-10)*time.Millisecond
+			e := m.take(t)
+			e.queued = true
+			e.timer = m.s.At(t, m.fire(e))
+			m.issued = append(m.issued, e)
+		}
+	case 1: // After, often at the same time as others
+		if m.budget > 0 {
+			d := time.Duration(m.rng.Intn(4)) * 10 * time.Millisecond
+			e := m.take(m.now + d)
+			e.queued = true
+			e.timer = m.s.After(d, m.fire(e))
+			m.issued = append(m.issued, e)
+		}
+	case 2: // Cancel any timer ever issued, stale ones included
+		if len(m.issued) > 0 {
+			e := m.issued[m.rng.Intn(len(m.issued))]
+			e.timer.Cancel()
+			e.cancelled = true // a no-op for the oracle once fired
+		}
+	case 3: // Reserve, queued later
+		if m.budget > 0 {
+			d := time.Duration(m.rng.Intn(4)) * 10 * time.Millisecond
+			e := m.take(m.now + d)
+			e.key = m.s.Reserve(d)
+		}
+	case 4: // AtKey on some outstanding reservation
+		var open []*modelEvent
+		for _, e := range m.pending {
+			if !e.queued {
+				open = append(open, e)
+			}
+		}
+		if len(open) > 0 {
+			m.queue(open[m.rng.Intn(len(open))])
+		}
+	case 5: // Step
+		m.flush()
+		want := m.next() != nil
+		if got := m.s.Step(); got != want {
+			m.t.Fatalf("Step() = %v, oracle has a live event: %v", got, want)
+		}
+	case 6: // RunUntil
+		m.flush()
+		until := m.now + time.Duration(m.rng.Intn(50))*time.Millisecond
+		m.s.RunUntil(until)
+		if e := m.next(); e != nil && e.at <= until {
+			m.t.Fatalf("RunUntil(%v) left event %+v behind", until, e)
+		}
+		if until > m.now {
+			m.now = until
+		}
+	case 7: // Run, which callbacks may Stop
+		m.flush()
+		m.inRun = true
+		m.s.Run()
+		m.inRun = false
+		if !m.stopped && m.next() != nil {
+			m.t.Fatalf("Run returned with live events and no Stop")
+		}
+		m.stopped = false
+	case 8: // Pending counts queued, uncancelled events only
+		want := 0
+		for _, e := range m.pending {
+			if e.queued && !e.cancelled {
+				want++
+			}
+		}
+		if got := m.s.Pending(); got != want {
+			m.t.Fatalf("Pending() = %d, oracle %d", got, want)
+		}
+	}
+	if m.s.Now() != m.now {
+		m.t.Fatalf("clock %v, oracle %v", m.s.Now(), m.now)
+	}
+}
+
+// TestKernelMatchesOracle interleaves At (including past times), After,
+// Cancel (including stale timers whose slot was reused), Reserve with a
+// later AtKey, Stop, Step, RunUntil and Run at random, in callbacks and
+// between runs, and checks every firing and every count against the
+// oracle. Stop is only called inside Run: inside RunUntil it would let
+// the clock jump past reserved keys, which AtKey then rightly rejects.
+func TestKernelMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		reg := obs.New("des")
+		m := &model{t: t, rng: rand.New(rand.NewSource(seed)), s: New(), budget: 300}
+		m.s.Instrument(reg)
+		for i := 0; i < 400; i++ {
+			m.op(true)
+		}
+		for m.next() != nil {
+			m.flush()
+			m.s.Run()
+			m.stopped = false
+		}
+		if got := reg.Snapshot().Counters["des_events_scheduled"]; got != int64(m.seq) {
+			t.Fatalf("seed %d: des_events_scheduled = %d, oracle %d", seed, got, m.seq)
+		}
+		if got := reg.Snapshot().Counters["des_events_fired"]; got != int64(m.fired) {
+			t.Fatalf("seed %d: des_events_fired = %d, oracle %d", seed, got, m.fired)
+		}
+		if m.s.Pending() != 0 || len(m.s.heap) != 0 {
+			t.Fatalf("seed %d: %d events left after the final Run", seed, len(m.s.heap))
+		}
 	}
 }
