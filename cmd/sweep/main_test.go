@@ -17,15 +17,24 @@ import (
 	"time"
 )
 
-// buildSweep compiles the sweep binary once per test into a temp dir.
-func buildSweep(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "sweep")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
+// sweepBin is the sweep binary every test runs, built once by TestMain.
+var sweepBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "sweep-test")
 	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	sweepBin = filepath.Join(dir, "sweep")
+	if out, err := exec.Command("go", "build", "-o", sweepBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // chunkGridArgs is a chunk grid sized so each scenario runs long enough
@@ -102,7 +111,7 @@ func TestChunkSweepKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process kill/resume run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 
 	// Golden, uninterrupted run (checkpointed so the CSV/JSON renderings
 	// below can come from a pure restore instead of re-simulating).
@@ -154,7 +163,7 @@ func TestFlowSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	args := []string{
 		"-isps", "VSNL (IN)",
 		"-policies", "sp,inrp",
@@ -191,7 +200,7 @@ func TestSweepAggModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	for _, format := range []string{"table", "csv", "json"} {
 		args := []string{
 			"-isps", "VSNL (IN)",
@@ -245,7 +254,7 @@ func TestSweepShardMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process shard/merge run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	dir := t.TempDir()
 
 	// Golden, unsharded run (checkpointed so CSV/JSON render from a pure
@@ -319,7 +328,7 @@ func TestSweepResumeRequiresCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	start := time.Now()
 	out, err := exec.Command(bin, append(chunkGridArgs("1"), "-resume")...).CombinedOutput()
 	if err == nil {
@@ -356,7 +365,7 @@ func TestSweepMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	cmd := exec.Command(bin, obsGridArgs("-q", "-metrics", "127.0.0.1:0", "-metrics-linger", "30s")...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -439,7 +448,7 @@ func TestSweepSimTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	runSweep(t, bin, obsGridArgs("-q", "-trace", path, "-trace-sample", "2")...)
 
@@ -475,7 +484,7 @@ func TestSweepExecTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	path := filepath.Join(t.TempDir(), "exec.trace")
 	runSweep(t, bin, obsGridArgs("-q", "-exectrace", path)...)
 	st, err := os.Stat(path)
@@ -493,7 +502,7 @@ func TestSweepCheckpointObs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	dir := t.TempDir()
 
 	plain := filepath.Join(dir, "plain.jsonl")
@@ -526,7 +535,7 @@ func TestSweepProgressTicker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	args := []string{
 		"-mode", "chunk",
 		"-transports", "inrpp,aimd",
@@ -557,7 +566,7 @@ var tickerRE = regexp.MustCompile(`sweep: \d+/\d+ scenarios`)
 // negative arrival rate fail when the flags are parsed, before any
 // scenario runs.
 func TestSweepRejectsBadLoadAxes(t *testing.T) {
-	bin := buildSweep(t)
+	bin := sweepBin
 	for _, tc := range []struct {
 		args []string
 		want string

@@ -96,7 +96,7 @@ func TestSweepServiceChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	dir := t.TempDir()
 
 	// Golden single-host run, checkpointed so the CSV/JSON renderings
@@ -250,7 +250,7 @@ func TestSweepServiceFlagGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run")
 	}
-	bin := buildSweep(t)
+	bin := sweepBin
 	mustFail := func(wantSubstr string, args ...string) {
 		t.Helper()
 		out, err := exec.Command(bin, args...).CombinedOutput()

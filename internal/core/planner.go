@@ -44,7 +44,10 @@ type Planner struct {
 	extraHop      bool
 	maxCandidates int
 
-	cache map[cacheKey]*candSet
+	// cache holds the candidate set of each link orientation, indexed
+	// by 2×link+direction (the dense arc index both simulators use); nil
+	// until first use. It grows when a link ID exceeds it.
+	cache []*candSet
 
 	// Plan scratch, reused across calls: the returned grants and the
 	// donor-arc consumption ledger. Candidate sets are ≤ MaxCandidates
@@ -52,12 +55,6 @@ type Planner struct {
 	grants       []Grant
 	consumedArcs []topo.Arc
 	consumedVals []units.BitRate
-}
-
-// cacheKey identifies one orientation of one link's candidate set.
-type cacheKey struct {
-	id  topo.LinkID
-	dir topo.Direction
 }
 
 // candSet is a cached candidate enumeration: the oriented sub-paths and
@@ -93,7 +90,7 @@ func NewPlanner(g *topo.Graph, cfg PlannerConfig) *Planner {
 		mode:          cfg.Mode,
 		extraHop:      cfg.ExtraHop,
 		maxCandidates: cfg.MaxCandidates,
-		cache:         make(map[cacheKey]*candSet),
+		cache:         make([]*candSet, 2*g.NumLinks()),
 	}
 }
 
@@ -107,13 +104,18 @@ func (p *Planner) Candidates(id topo.LinkID, dir topo.Direction) []route.Subpath
 // candidates returns the cached oriented candidate set for one direction
 // of a link, building (and arc-resolving) it on first use.
 func (p *Planner) candidates(id topo.LinkID, dir topo.Direction) *candSet {
-	if set, ok := p.cache[cacheKey{id, dir}]; ok {
-		return set
+	k := 2*int(id) + int(dir)
+	if k < len(p.cache) {
+		if set := p.cache[k]; set != nil {
+			return set
+		}
+	} else {
+		p.cache = append(p.cache, make([]*candSet, 2*int(id)+2-len(p.cache))...)
 	}
-	fwd, ok := p.cache[cacheKey{id, topo.Forward}]
-	if !ok {
+	fwd := p.cache[2*int(id)]
+	if fwd == nil {
 		fwd = p.resolve(route.Subpaths(p.g, id, p.extraHop, p.maxCandidates))
-		p.cache[cacheKey{id, topo.Forward}] = fwd
+		p.cache[2*int(id)] = fwd
 	}
 	if dir == topo.Forward {
 		return fwd
@@ -128,7 +130,7 @@ func (p *Planner) candidates(id topo.LinkID, dir topo.Direction) *candSet {
 		rev[i] = route.Subpath{Path: rp, Extra: s.Extra}
 	}
 	set := p.resolve(rev)
-	p.cache[cacheKey{id, topo.Reverse}] = set
+	p.cache[k] = set
 	return set
 }
 

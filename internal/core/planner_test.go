@@ -179,3 +179,28 @@ func TestPlannerCandidateCache(t *testing.T) {
 		t.Error("cached candidates differ")
 	}
 }
+
+// TestPlannerCacheGrowsForNewLinks covers the lazily grown candidate
+// cache: a link added after the planner was built gets its candidates in
+// both orientations, and the reverse orientation is the forward one
+// walked backwards.
+func TestPlannerCacheGrowsForNewLinks(t *testing.T) {
+	g := topo.Ring(5)
+	p := NewPlanner(g, DefaultPlannerConfig())
+	p.Candidates(0, topo.Reverse) // fills part of the cache first
+	id := g.MustAddLink(0, 2, units.Gbps, 0)
+	rev := p.Candidates(id, topo.Reverse)
+	fwd := p.Candidates(id, topo.Forward)
+	if len(fwd) == 0 || len(fwd) != len(rev) {
+		t.Fatalf("new link: %d forward vs %d reverse candidates", len(fwd), len(rev))
+	}
+	for i, s := range fwd {
+		r := rev[i].Path
+		if s.Path[0] != r[len(r)-1] || s.Path[len(s.Path)-1] != r[0] {
+			t.Errorf("candidate %d: reverse %v is not forward %v reversed", i, r, s.Path)
+		}
+	}
+	if !p.HasDetour(topo.Arc{Link: id, Dir: topo.Forward}, nil) {
+		t.Error("new link reports no detour")
+	}
+}

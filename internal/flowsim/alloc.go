@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/topo"
@@ -86,39 +87,62 @@ func (l congestedList) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
 // capacity back into the filling, and iterate. Overflow that no detour
 // can absorb is back-pressured: the affected flows are rate-capped in a
 // final feasibility pass.
+//
+// Two shortcuts skip work whose result is already known, and both leave
+// every output bit unchanged (the all-rounds loop is kept as the oracle
+// allocateINRPAllRounds in equivalence_test.go):
+//
+//   - Per-arc sweeps walk scanArcs — the weighted arcs plus the
+//     zero-capacity ones, ascending — instead of all nArcs arcs. Every
+//     other arc carries no primary load and no grant, so it can be no
+//     candidate, its effective capacity is never read, and its grant is
+//     an exact +0 that leaves the detourRate sum unchanged.
+//   - Fixpoint exit: a non-final round whose new grants are bit-equal to
+//     the grants it entered with would be repeated exactly by every later
+//     non-final round (same capEff, same fill, same loads, same plan), and
+//     the final round would fill against the same capEff. So the loop
+//     jumps to the final round, which keeps the round's classRate and
+//     primaryLoad and only re-plans with its overflow-only candidates.
 func (r *runner) allocateINRP() []float64 {
-	n := r.nArcs
 	zero(r.grantsFor)
 	zero(r.detourLoad)
 	zero(r.extraWeighted)
 	r.grantRecs = r.grantRecs[:0]
+	for w := range r.arcBits {
+		r.arcBits[w] = r.weighted[w] | r.zeroCap[w]
+	}
+	scan := appendArcs(r.scanArcs[:0], r.arcBits)
+	r.scanArcs = scan
 
 	capEff := r.capEff
 	primaryLoad := r.primaryLoad
 	var classRate []float64
+	fixpoint := false
 
 	for round := 0; round < r.cfg.PoolingRounds; round++ {
 		final := round == r.cfg.PoolingRounds-1
 
-		// Effective capacity for primary filling: the arc's own rate plus
-		// whatever overflow it may ship over detours. Donor arcs keep their
-		// full rate for primary traffic — pooling uses spare capacity only
-		// (§3.3: forward toward the detour "exactly as much traffic as this
-		// detour path can accommodate").
-		for a := 0; a < n; a++ {
-			capEff[a] = r.capBase[a] + r.grantsFor[a]
-		}
-		classRate = r.classFill(capEff)
+		if !fixpoint {
+			// Effective capacity for primary filling: the arc's own rate
+			// plus whatever overflow it may ship over detours. Donor arcs
+			// keep their full rate for primary traffic — pooling uses spare
+			// capacity only (§3.3: forward toward the detour "exactly as
+			// much traffic as this detour path can accommodate").
+			for _, a := range scan {
+				capEff[a] = r.capBase[a] + r.grantsFor[a]
+			}
+			classRate = r.classFill(capEff)
 
-		// Per-arc primary load. Accumulated flow-by-flow in admission
-		// order — not class×weight products — so the float summation
-		// order matches the per-flow reference bit for bit.
-		zero(primaryLoad)
-		for _, s := range r.activeOrder {
-			c := r.slotClass[s]
-			cr := classRate[c]
-			for _, a := range r.classes[c].arcs {
-				primaryLoad[a] += cr
+			// Per-arc primary load. Accumulated flow-by-flow in admission
+			// order — not class×weight products — so the float summation
+			// order matches the per-flow reference bit for bit.
+			zero(primaryLoad)
+			for _, s := range r.activeOrder {
+				c := r.slotClass[s]
+				cr := classRate[c]
+				for _, a := range r.classes[c].arcs {
+					primaryLoad[a] += cr
+				}
 			}
 		}
 
@@ -128,16 +152,19 @@ func (r *runner) allocateINRP() []float64 {
 		// their frozen flows can grow into pooled capacity next round. The
 		// final round plans only real overflow, keeping the metrics honest.
 		cands := r.cands[:0]
-		for a := 0; a < n; a++ {
+		for _, a := range scan {
 			over := primaryLoad[a] - r.capBase[a]
 			saturated := r.capBase[a]-primaryLoad[a] <= saturationEps(r.capBase[a])
 			if over > saturationEps(r.capBase[a]) || (!final && saturated) {
-				cands = append(cands, congested{arc: a, over: over})
+				cands = append(cands, congested{arc: int(a), over: over})
 			}
 		}
 		r.cands = cands
 		sort.Sort(&r.cands)
 
+		// The grants this round entered with move to grantsPrev for the
+		// fixpoint test below.
+		r.grantsFor, r.grantsPrev = r.grantsPrev, r.grantsFor
 		zero(r.grantsFor)
 		zero(r.detourLoad)
 		zero(r.extraWeighted)
@@ -166,6 +193,10 @@ func (r *runner) allocateINRP() []float64 {
 				})
 			}
 		}
+		if !final && sameBits(r.grantsFor, r.grantsPrev, scan) {
+			fixpoint = true
+			round = r.cfg.PoolingRounds - 2 // the next round is the final one
+		}
 	}
 
 	// Final feasibility (back-pressure) pass: any arc whose direct traffic
@@ -175,8 +206,10 @@ func (r *runner) allocateINRP() []float64 {
 	r.enforceFeasibility(classRate, primaryLoad)
 
 	// Stretch expectation and aggregate detour rate from the final plan.
+	// Ascending like a full scan: the skipped grants are exact +0, and a
+	// sum that starts at +0 never becomes −0, so adding them is a no-op.
 	r.detourRate = 0
-	for a := 0; a < r.nArcs; a++ {
+	for _, a := range scan {
 		r.detourRate += r.grantsFor[a]
 	}
 	for _, c := range r.liveClasses {
@@ -198,23 +231,73 @@ func (r *runner) allocateINRP() []float64 {
 	return classRate
 }
 
+// sameBits reports whether x and y hold bit-identical values on the
+// listed indexes.
+func sameBits(x, y []float64, idx []int32) bool {
+	for _, i := range idx {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // enforceFeasibility rate-caps classes on arcs whose overflow could not
 // be fully detoured — the fluid expression of the back-pressure phase.
 // Decisions (worst arc, cut factor, per-class cuts) iterate classes; only
 // the primary-load bookkeeping walks flows, in active order, to keep the
 // float summation sequence identical to the per-flow reference.
+//
+// The worst-arc scan walks the allocation's scan arcs plus the donor
+// arcs of the final plan, in ascending order: any other arc has no
+// primary load, no grant and no landed detour, so its excess is −capBase,
+// which cannot pass the threshold (zero- and negative-capacity arcs are
+// scan arcs). Ascending order keeps the first-wins tie on worstExcess.
+// The set cannot grow across passes: cuts and shrinks only lower loads
+// on arcs already in it.
+//
+// Shrinking a grant raises the direct load of its source arc, so the
+// passes can keep moving overload between arcs; blind planning, which
+// over-grants by orders of magnitude, runs out of passes that way. When
+// the passes end with an arc still overloaded, every detour grant is
+// withdrawn and primary traffic alone is capped: without grants a cut
+// only lowers loads, so each pass fixes one arc for good.
 func (r *runner) enforceFeasibility(classRate, primaryLoad []float64) {
+	feas := r.arcBits
+	for w := range feas {
+		feas[w] = r.weighted[w] | r.zeroCap[w]
+	}
+	for _, g := range r.grantRecs {
+		for _, b := range g.arcs {
+			a := arcIndex(b)
+			feas[a>>6] |= 1 << (a & 63)
+		}
+	}
+	arcs := appendArcs(r.feasArcs[:0], feas)
+	r.feasArcs = arcs
+	if r.cutOverloads(arcs, classRate, primaryLoad) {
+		return
+	}
+	r.withdrawGrants()
+	r.cutOverloads(arcs, classRate, primaryLoad)
+}
+
+// cutOverloads runs up to nArcs back-pressure passes over the listed
+// arcs, each relieving the worst overloaded arc by class cuts or, when
+// its excess is all landed detour traffic, by shrinking the grants
+// landing on it. It reports whether every arc ended within capacity.
+func (r *runner) cutOverloads(arcs []int32, classRate, primaryLoad []float64) bool {
 	for pass := 0; pass < r.nArcs; pass++ {
 		worst, worstExcess := -1, 0.0
-		for a := 0; a < r.nArcs; a++ {
+		for _, a := range arcs {
 			direct := primaryLoad[a] - r.grantsFor[a]
 			excess := direct + r.detourLoad[a] - r.capBase[a]
 			if excess > saturationEps(r.capBase[a])+1e-9 && excess > worstExcess {
-				worst, worstExcess = a, excess
+				worst, worstExcess = int(a), excess
 			}
 		}
 		if worst < 0 {
-			return
+			return true
 		}
 		r.res.Backpressured++
 		r.mBackpressure.Inc()
@@ -223,7 +306,7 @@ func (r *runner) enforceFeasibility(classRate, primaryLoad []float64) {
 			// over-granted. Shrink the grants landing on this arc
 			// proportionally and re-evaluate.
 			if !r.shrinkGrants(worst, worstExcess) {
-				return
+				return false
 			}
 			continue
 		}
@@ -255,6 +338,15 @@ func (r *runner) enforceFeasibility(classRate, primaryLoad []float64) {
 			}
 		}
 	}
+	return false
+}
+
+// withdrawGrants cancels every detour grant of the current plan.
+func (r *runner) withdrawGrants() {
+	zero(r.grantsFor)
+	zero(r.detourLoad)
+	zero(r.extraWeighted)
+	r.grantRecs = r.grantRecs[:0]
 }
 
 // shrinkGrants scales down the detour grants landing on an arc that is

@@ -14,8 +14,9 @@ import "math"
 // classes (bounded by the distinct (src, dst) pairs, not the load).
 //
 // Class membership is maintained incrementally: admit() increments the
-// flow's class weight (creating the class on first sight of the path),
-// finish() decrements it. Classes are never deleted — indices stay
+// flow's class weight (creating the class on first sight of the path)
+// and the weight of every arc on it, finishSlot() decrements both.
+// Classes are never deleted — indices stay
 // stable, empty classes cost one skipped iteration — and all per-class
 // scratch lives on the runner, reused across allocate() calls, so the
 // steady-state allocator performs no heap allocation at all.
@@ -107,6 +108,7 @@ func (r *runner) growClassScratch() {
 //
 // The returned slice is runner-owned scratch, valid until the next call.
 func (r *runner) classFill(capacity []float64) []float64 {
+	r.mClassFills.Inc()
 	rates := r.classRate
 	frozen := r.classFrozen
 	load := r.fillLoad
@@ -121,37 +123,33 @@ func (r *runner) classFill(capacity []float64) []float64 {
 	// Only live classes participate; dead classes hold frozen=true and
 	// rate=0 permanently (the finishSlot invariant), so the freeze sweeps
 	// below may reach them through arcClasses without effect. The live
-	// list's order is arbitrary, which is sound here: per-arc weights are
-	// integer sums and freezes are per-class, so no float chain depends
-	// on class enumeration order.
+	// list's order is arbitrary, which is sound here: freezes are
+	// per-class, so no float chain depends on class enumeration order.
 	remaining := 0
-	for i := range load {
-		load[i] = 0
-		weight[i] = 0
-	}
 	for _, c := range r.liveClasses {
-		cl := &r.classes[c]
 		rates[c] = 0
 		frozen[c] = false
 		remaining++
-		for _, a := range cl.arcs {
-			weight[a] += cl.weight
-		}
 	}
 
 	// Active-arc index: only arcs carrying unfrozen weight participate in
 	// the event loops, in ascending order (matching the reference's full
-	// 0..nArcs scans, which skip zero-count arcs). Arcs only ever leave
-	// the set during a fill; the list compacts in place, preserving
-	// order. The saturation slack depends only on the fill's capacities,
-	// so it is computed once per arc here instead of once per event.
-	active := r.activeArcs[:0]
+	// 0..nArcs scans, which skip zero-count arcs). At the start of a fill
+	// these are exactly the weighted arcs, and their weights are the
+	// admit/finish-maintained integer sums, so the working state is
+	// seeded from the weighted-arc bitset alone. Arcs outside it keep
+	// stale load/weight/slack entries that nothing reads: freeze only
+	// touches the arcs of live classes, which are all weighted. Arcs only
+	// ever leave the set during a fill; the list compacts in place,
+	// preserving order. The saturation slack depends only on the fill's
+	// capacities, so it is computed once per arc here instead of once per
+	// event.
+	active := appendArcs(r.activeArcs[:0], r.weighted)
 	satSlack := r.satSlack
-	for a := 0; a < r.nArcs; a++ {
-		if weight[a] > 0 {
-			active = append(active, int32(a))
-			satSlack[a] = saturationEps(capacity[a])
-		}
+	for _, a := range active {
+		load[a] = 0
+		weight[a] = r.arcWeight[a]
+		satSlack[a] = saturationEps(capacity[a])
 	}
 
 	level := 0.0

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -27,6 +28,11 @@ import (
 // the completion-heap loop in run(). TestRunHeapVsScanEquivalence
 // requires the two loops to produce DeepEqual Results — every float in
 // every field — over random graphs, workloads and policies.
+//
+// And it keeps the class-based all-rounds pooling loop as
+// allocateINRPAllRounds: the oracle for allocateINRP's fixpoint exit and
+// scan-set sweeps (TestFixpointExitMatchesAllRounds). Every driver also
+// checks the feasibility invariant after every allocation.
 
 // allocateRef is the retained per-flow reference allocator.
 func (r *runner) allocateRef() (rates []float64, hopsExp []float64) {
@@ -107,15 +113,15 @@ func (r *runner) allocateINRPRef(paths [][]int32, hopsExp []float64, caps []floa
 				continue
 			}
 			a := c.arc
-			residual := func(b topo.Arc) float64 {
+			residual := func(b topo.Arc) units.BitRate {
 				bi := arcIndex(b)
 				res := r.capBase[bi] - primaryLoad[bi] - r.detourLoad[bi]
 				if res < 0 {
 					return 0
 				}
-				return res
+				return units.BitRate(res)
 			}
-			grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), residualAdapter(residual))
+			grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), residual)
 			for _, gr := range grants {
 				rate := float64(gr.Rate)
 				r.grantsFor[a] += rate
@@ -155,8 +161,19 @@ func (r *runner) allocateINRPRef(paths [][]int32, hopsExp []float64, caps []floa
 
 // enforceFeasibilityRef is the seed per-flow back-pressure pass, with the
 // detour-only overload branch fixed the same way as the class-based path
-// (shared shrinkGrants helper).
+// (shared shrinkGrants helper), and the same fallback when the passes
+// end infeasible: withdraw every grant and cap primary traffic alone.
 func (r *runner) enforceFeasibilityRef(paths [][]int32, rates, primaryLoad []float64) {
+	if r.cutOverloadsRef(paths, rates, primaryLoad) {
+		return
+	}
+	r.withdrawGrants()
+	r.cutOverloadsRef(paths, rates, primaryLoad)
+}
+
+// cutOverloadsRef is the per-flow pass loop of enforceFeasibilityRef; it
+// reports whether every arc ended within capacity.
+func (r *runner) cutOverloadsRef(paths [][]int32, rates, primaryLoad []float64) bool {
 	for pass := 0; pass < r.nArcs; pass++ {
 		worst, worstExcess := -1, 0.0
 		for a := 0; a < r.nArcs; a++ {
@@ -167,12 +184,12 @@ func (r *runner) enforceFeasibilityRef(paths [][]int32, rates, primaryLoad []flo
 			}
 		}
 		if worst < 0 {
-			return
+			return true
 		}
 		r.res.Backpressured++
 		if primaryLoad[worst] <= 0 {
 			if !r.shrinkGrants(worst, worstExcess) {
-				return
+				return false
 			}
 			continue
 		}
@@ -198,14 +215,178 @@ func (r *runner) enforceFeasibilityRef(paths [][]int32, rates, primaryLoad []flo
 			}
 		}
 	}
+	return false
+}
+
+// allocateAllRounds is allocate with the INRP pooling loop replaced by
+// allocateINRPAllRounds: the oracle for the fixpoint exit and the
+// scan-set sweeps of allocateINRP.
+func (r *runner) allocateAllRounds() (rates []float64, hopsExp []float64) {
+	var classRate []float64
+	if r.cfg.Policy != INRP {
+		r.detourRate = 0
+		classRate = r.classFill(r.capBase)
+		for _, c := range r.liveClasses {
+			r.classHopsExp[c] = r.classes[c].hops
+		}
+	} else {
+		classRate = r.allocateINRPAllRounds()
+	}
+	rates = make([]float64, len(r.activeOrder))
+	hopsExp = make([]float64, len(r.activeOrder))
+	for i, s := range r.activeOrder {
+		rates[i] = classRate[r.slotClass[s]]
+		hopsExp[i] = r.classHopsExp[r.slotClass[s]]
+	}
+	return rates, hopsExp
+}
+
+// allocateINRPAllRounds is the class-based pooling loop as it was before
+// the fixpoint exit: every round fills, plans and sweeps all nArcs arcs,
+// however many rounds repeat the previous one.
+func (r *runner) allocateINRPAllRounds() []float64 {
+	n := r.nArcs
+	zero(r.grantsFor)
+	zero(r.detourLoad)
+	zero(r.extraWeighted)
+	r.grantRecs = r.grantRecs[:0]
+
+	capEff := r.capEff
+	primaryLoad := r.primaryLoad
+	var classRate []float64
+
+	for round := 0; round < r.cfg.PoolingRounds; round++ {
+		final := round == r.cfg.PoolingRounds-1
+
+		// Effective capacity for primary filling: the arc's own rate plus
+		// whatever overflow it may ship over detours. Donor arcs keep their
+		// full rate for primary traffic — pooling uses spare capacity only
+		// (§3.3: forward toward the detour "exactly as much traffic as this
+		// detour path can accommodate").
+		for a := 0; a < n; a++ {
+			capEff[a] = r.capBase[a] + r.grantsFor[a]
+		}
+		classRate = r.classFill(capEff)
+
+		// Per-arc primary load. Accumulated flow-by-flow in admission
+		// order — not class×weight products — so the float summation
+		// order matches the per-flow reference bit for bit.
+		zero(primaryLoad)
+		for _, s := range r.activeOrder {
+			c := r.slotClass[s]
+			cr := classRate[c]
+			for _, a := range r.classes[c].arcs {
+				primaryLoad[a] += cr
+			}
+		}
+
+		// Re-plan every saturated arc's detours from scratch against the
+		// new loads. Actually-overloaded arcs are served first; merely
+		// saturated arcs get optimistic grants (in non-final rounds) so
+		// their frozen flows can grow into pooled capacity next round. The
+		// final round plans only real overflow, keeping the metrics honest.
+		cands := r.cands[:0]
+		for a := 0; a < n; a++ {
+			over := primaryLoad[a] - r.capBase[a]
+			saturated := r.capBase[a]-primaryLoad[a] <= saturationEps(r.capBase[a])
+			if over > saturationEps(r.capBase[a]) || (!final && saturated) {
+				cands = append(cands, congested{arc: a, over: over})
+			}
+		}
+		r.cands = cands
+		sort.Sort(&r.cands)
+
+		zero(r.grantsFor)
+		zero(r.detourLoad)
+		zero(r.extraWeighted)
+		r.grantRecs = r.grantRecs[:0]
+		for _, c := range r.cands {
+			req := primaryLoad[c.arc] + r.detourLoad[c.arc] - r.capBase[c.arc]
+			if !final {
+				// Optimistic: take whatever the detours can spare; the
+				// planner caps the request by donor residuals.
+				req = optimisticOverflow
+			}
+			if req <= 0 {
+				continue
+			}
+			a := c.arc
+			grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), r.residualFn)
+			for _, gr := range grants {
+				rate := float64(gr.Rate)
+				r.grantsFor[a] += rate
+				r.extraWeighted[a] += rate * float64(gr.Sub.Extra)
+				for _, b := range gr.Arcs {
+					r.detourLoad[arcIndex(b)] += rate
+				}
+				r.grantRecs = append(r.grantRecs, grantRec{
+					src: a, rate: rate, extra: float64(gr.Sub.Extra), arcs: gr.Arcs,
+				})
+			}
+		}
+	}
+
+	// Final feasibility (back-pressure) pass: any arc whose direct traffic
+	// plus landed detour traffic still exceeds capacity caps the flows
+	// crossing it. Grants are consistent with the final loads by
+	// construction, so violations only stem from unplaced overflow.
+	r.enforceFeasibility(classRate, primaryLoad)
+
+	// Stretch expectation and aggregate detour rate from the final plan.
+	r.detourRate = 0
+	for a := 0; a < r.nArcs; a++ {
+		r.detourRate += r.grantsFor[a]
+	}
+	for _, c := range r.liveClasses {
+		cl := &r.classes[c]
+		extra := 0.0
+		for _, a := range cl.arcs {
+			if r.grantsFor[a] <= 0 || primaryLoad[a] <= 0 {
+				continue
+			}
+			phi := r.grantsFor[a] / primaryLoad[a]
+			if phi > 1 {
+				phi = 1
+			}
+			extra += phi * (r.extraWeighted[a] / r.grantsFor[a])
+		}
+		r.classExtra[c] = extra
+		r.classHopsExp[c] = cl.hops + extra
+	}
+	return classRate
+}
+
+// checkFeasible asserts the allocator's feasibility invariant on the
+// allocation just made: on every arc, the direct primary traffic plus
+// the detour traffic landed on it stays within capacity — the condition
+// enforceFeasibility establishes. Loads are recomputed from the per-flow
+// rates, and every arc is checked, not only the ones the allocator's
+// narrowed scans visit.
+func checkFeasible(t *testing.T, trial int, r *runner, rates []float64) {
+	t.Helper()
+	load := make([]float64, r.nArcs)
+	for i, s := range r.activeOrder {
+		for _, a := range r.classes[r.slotClass[s]].arcs {
+			load[a] += rates[i]
+		}
+	}
+	for a, l := range load {
+		if r.cfg.Policy == INRP {
+			l += r.detourLoad[a] - r.grantsFor[a]
+		}
+		if limit := r.capBase[a] + saturationEps(r.capBase[a]) + 1e-9; l > limit {
+			t.Fatalf("trial %d: %v arc %d carries %v over capacity %v (grants %v, landed detours %v)",
+				trial, r.cfg.Policy, a, l, r.capBase[a], r.grantsFor[a], r.detourLoad[a])
+		}
+	}
 }
 
 // newTestRunner builds an initialised runner over g without running the
 // event loop.
-func newTestRunner(t *testing.T, g *topo.Graph, pol Policy, cap units.BitRate) *runner {
+func newTestRunner(t *testing.T, g *topo.Graph, pol Policy, cap units.BitRate, rounds int) *runner {
 	t.Helper()
 	cfg := Config{Graph: g, Policy: pol, DemandCap: cap}
-	cfg.PoolingRounds = 4
+	cfg.PoolingRounds = rounds
 	cfg.Planner = core.DefaultPlannerConfig()
 	r := &runner{cfg: cfg, g: g}
 	r.init()
@@ -230,15 +411,16 @@ func randomGraph(rng *rand.Rand) *topo.Graph {
 	return g
 }
 
-// checkEqual requires two allocations to be bit-identical.
+// checkEqual requires two float slices to hold bit-identical values
+// (math.Float64bits, so −0 ≠ +0 and NaN = NaN).
 func checkEqual(t *testing.T, trial int, what string, ref, got []float64) {
 	t.Helper()
 	if len(ref) != len(got) {
 		t.Fatalf("trial %d: %s length %d vs %d", trial, what, len(ref), len(got))
 	}
 	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("trial %d: %s[%d] differs: reference %v, class-based %v (Δ=%g)",
+		if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("trial %d: %s[%d] differs: reference %v, got %v (Δ=%g)",
 				trial, what, i, ref[i], got[i], got[i]-ref[i])
 		}
 	}
@@ -278,6 +460,7 @@ func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow,
 
 		checkEqual(t, trial, "rates", refRates, rates)
 		checkEqual(t, trial, "hopsExp", refHops, hops)
+		checkFeasible(t, trial, r, rates)
 		if refBP != gotBP {
 			t.Fatalf("trial %d: Backpressured %d (reference) vs %d (class-based)", trial, refBP, gotBP)
 		}
@@ -325,7 +508,7 @@ func TestClassAllocatorEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cap = units.BitRate(20+rng.Intn(100)) * units.Mbps
 		}
-		r := newTestRunner(t, g, pol, cap)
+		r := newTestRunner(t, g, pol, cap, 4)
 		flows := workload.Generate(workload.Spec{
 			Arrivals: workload.NewPoisson(20, rng.Int63()),
 			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
@@ -333,6 +516,138 @@ func TestClassAllocatorEquivalence(t *testing.T) {
 			Count:    10 + rng.Intn(40),
 		})
 		driveEquivalence(t, trial, r, flows, rng)
+	}
+}
+
+// fixpointStats counts the INRP allocations (with at least two pooling
+// rounds) that stopped at a fixpoint reached in round 0, and those that
+// reached no fixpoint at all and ran every round.
+type fixpointStats struct{ round0, never int }
+
+// finishMasked finishes the flows at the masked activeOrder positions.
+func finishMasked(r *runner, drop []bool) {
+	kept := r.activeOrder[:0]
+	for i, s := range r.activeOrder {
+		if drop[i] {
+			r.finishSlot(s, r.slotArrival[s]+1)
+			continue
+		}
+		kept = append(kept, s)
+	}
+	r.activeOrder = kept
+}
+
+// driveAllRounds admits and finishes a random workload on two runners
+// built from the same config: ref allocates with the all-rounds oracle,
+// got with the production allocator. After every allocation it requires
+// bit-equal per-flow rates and expected hops, detourRate, Backpressured,
+// grantsFor and detourLoad, and checks feasibility. Class fills per
+// allocation tell how the production loop ended: one fill means a
+// fixpoint in round 0, PoolingRounds fills mean none was reached.
+func driveAllRounds(t *testing.T, trial int, ref, got *runner, flows []workload.Flow, rng *rand.Rand, st *fixpointStats) {
+	t.Helper()
+	fills := obs.New("fixpoint").Counter("flowsim_class_fills")
+	got.mClassFills = fills
+	rounds := int64(got.cfg.PoolingRounds)
+	next := 0
+	for next < len(flows) || len(got.activeOrder) > 0 {
+		for batch := 1 + rng.Intn(4); batch > 0 && next < len(flows); next++ {
+			f := flows[next]
+			errRef := ref.admit(f, f.Arrival.Seconds())
+			errGot := got.admit(f, f.Arrival.Seconds())
+			if (errRef == nil) != (errGot == nil) {
+				t.Fatalf("trial %d: admit errors differ: %v vs %v", trial, errRef, errGot)
+			}
+			if errGot == nil {
+				batch--
+			}
+		}
+
+		refRates, refHops := ref.allocateAllRounds()
+		before := fills.Value()
+		rates, hops := got.allocate()
+		n := fills.Value() - before
+
+		checkEqual(t, trial, "rates", refRates, rates)
+		checkEqual(t, trial, "hopsExp", refHops, hops)
+		checkEqual(t, trial, "detourRate", []float64{ref.detourRate}, []float64{got.detourRate})
+		if ref.res.Backpressured != got.res.Backpressured {
+			t.Fatalf("trial %d: Backpressured %d (all rounds) vs %d (fixpoint exit)",
+				trial, ref.res.Backpressured, got.res.Backpressured)
+		}
+		if got.cfg.Policy == INRP {
+			checkEqual(t, trial, "grantsFor", ref.grantsFor, got.grantsFor)
+			checkEqual(t, trial, "detourLoad", ref.detourLoad, got.detourLoad)
+			if rounds >= 2 && n == 1 {
+				st.round0++
+			}
+			if rounds >= 2 && n == rounds {
+				st.never++
+			}
+		}
+		checkFeasible(t, trial, got, rates)
+
+		drain := next >= len(flows)
+		if drain || rng.Intn(2) == 0 {
+			drop := make([]bool, len(got.activeOrder))
+			for i := range drop {
+				drop[i] = drain || rng.Intn(3) == 0
+			}
+			finishMasked(ref, drop)
+			finishMasked(got, drop)
+		}
+	}
+}
+
+// TestFixpointExitMatchesAllRounds is the property test for
+// allocateINRP's fixpoint exit and scan-set sweeps: over random graphs
+// and workloads, SP/ECMP/INRP, 1–6 pooling rounds, elastic and capped
+// demand, capacity-aware and blind planning (blind planning over-grants
+// and forces back-pressure), and generous capacities that leave nothing
+// to pool, the production allocator must match the all-rounds oracle bit
+// for bit after every allocation. Both ends of the fixpoint exit must
+// actually occur: allocations that converge in round 0, and allocations
+// that never converge.
+func TestFixpointExitMatchesAllRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	trials := 80
+	if testing.Short() {
+		trials = 20
+	}
+	var st fixpointStats
+	for trial := 0; trial < trials; trial++ {
+		g := randomGraph(rng)
+		if rng.Intn(4) == 0 {
+			g.SetAllCapacities(100 * units.Gbps)
+		}
+		cfg := Config{
+			Graph:         g,
+			Policy:        []Policy{SP, ECMP, INRP, INRP}[rng.Intn(4)],
+			PoolingRounds: 1 + rng.Intn(6),
+			Planner:       core.DefaultPlannerConfig(),
+		}
+		if rng.Intn(3) == 0 {
+			cfg.Planner.Mode = core.Blind
+		}
+		if rng.Intn(2) == 0 {
+			cfg.DemandCap = units.BitRate(20+rng.Intn(100)) * units.Mbps
+		}
+		mk := func() *runner {
+			r := &runner{cfg: cfg, g: g}
+			r.init()
+			return r
+		}
+		flows := workload.Generate(workload.Spec{
+			Arrivals: workload.NewPoisson(20, rng.Int63()),
+			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
+			Matrix:   workload.NewGravity(g, rng.Int63()),
+			Count:    10 + rng.Intn(40),
+		})
+		driveAllRounds(t, trial, mk(), mk(), flows, rng, &st)
+	}
+	t.Logf("INRP allocations converged in round 0: %d, never converged: %d", st.round0, st.never)
+	if st.round0 == 0 || st.never == 0 {
+		t.Fatalf("fixpoint exit cases not reached: round 0 %d, never %d", st.round0, st.never)
 	}
 }
 
@@ -348,7 +663,7 @@ func TestClassFillMatchesProgressiveFill(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cap = units.BitRate(10+rng.Intn(60)) * units.Mbps
 		}
-		r := newTestRunner(t, g, SP, cap)
+		r := newTestRunner(t, g, SP, cap, 4)
 
 		// Admit random flows, many sharing (src, dst) so classes collapse.
 		nPairs := 1 + rng.Intn(5)
@@ -394,7 +709,7 @@ func TestClassFillMatchesProgressiveFill(t *testing.T) {
 // earliest completion, advances each flow by its own rate×dt product,
 // and filters completions out of the active list. Identical to the
 // pre-heap run() except for operating on the slot arrays.
-func (r *runner) runRef() (*Result, error) {
+func (r *runner) runRef(t *testing.T) (*Result, error) {
 	flows := r.cfg.Flows
 	next := 0
 	now := 0.0
@@ -412,6 +727,7 @@ func (r *runner) runRef() (*Result, error) {
 
 	for now < horizon && (len(r.activeOrder) > 0 || next < len(flows)) {
 		rates, hopsExp := r.allocate()
+		checkFeasible(t, -1, r, rates)
 
 		// Next event: first arrival or earliest completion.
 		tEvent := horizon
@@ -510,7 +826,7 @@ func runPair(t *testing.T, cfg Config) (heap, scan *Result) {
 	if heap, err = mk().run(); err != nil {
 		t.Fatal(err)
 	}
-	if scan, err = mk().runRef(); err != nil {
+	if scan, err = mk().runRef(t); err != nil {
 		t.Fatal(err)
 	}
 	return heap, scan
@@ -589,7 +905,7 @@ func runPairSkipUnrouted(t *testing.T, trial int, cfg Config) (heap, scan *Resul
 		return r
 	}
 	heap, errHeap := mk().run()
-	scan, errScan := mk().runRef()
+	scan, errScan := mk().runRef(t)
 	if (errHeap == nil) != (errScan == nil) {
 		t.Fatalf("trial %d: heap err %v, scan err %v", trial, errHeap, errScan)
 	}

@@ -139,3 +139,40 @@ func TestClassAllocatorEquivalenceBackpressure(t *testing.T) {
 		t.Fatal("NaN rate")
 	}
 }
+
+// TestEnforceFeasibilityBlindOvergrant is the regression test for the
+// back-pressure fallback. Blind planning hands every saturated arc the
+// optimistic 1e15 bits/s of the non-final rounds, so the final plan
+// lands petabit-scale detours, and shrinking one arc's grants overloads
+// their source arcs in turn. The nArcs passes used to run out with arcs
+// still overloaded by orders of magnitude; now the grants are withdrawn
+// and primary traffic alone is capped, so the allocation is feasible.
+func TestEnforceFeasibilityBlindOvergrant(t *testing.T) {
+	g := topo.Grid(3, 3)
+	cfg := Config{
+		Graph:         g,
+		Policy:        INRP,
+		PoolingRounds: 4,
+		Planner:       core.PlannerConfig{Mode: core.Blind, ExtraHop: true, MaxCandidates: 8},
+	}
+	r := &runner{cfg: cfg, g: g}
+	r.init()
+	id := 0
+	for src := 0; src < g.NumNodes(); src++ {
+		for dst := 0; dst < g.NumNodes(); dst++ {
+			if src == dst {
+				continue
+			}
+			f := workload.Flow{ID: id, Src: topo.NodeID(src), Dst: topo.NodeID(dst), Size: units.MB}
+			if err := r.admit(f, 0); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	rates, _ := r.allocate()
+	if r.res.Backpressured == 0 {
+		t.Fatal("expected the back-pressure pass to fire")
+	}
+	checkFeasible(t, 0, r, rates)
+}

@@ -20,6 +20,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -209,8 +210,20 @@ type runner struct {
 	// admissions of an endpoint pair skip routing entirely.
 	classBySrcDst map[uint64]int32
 
+	// Weighted arcs: arcWeight[a] is the number of live flows crossing
+	// arc a, kept by admit and finishSlot (integer sums, so exact), and
+	// weighted has bit a set exactly when arcWeight[a] > 0: the only arcs
+	// that carry primary load, so the allocator's sweeps walk these bits
+	// in ascending order instead of all nArcs arcs (classes.go,
+	// alloc.go). zeroCap marks the arcs an allocation round treats as
+	// saturated even without load (capBase ≤ saturationEps(capBase)).
+	arcWeight []int
+	weighted  []uint64
+	zeroCap   []uint64
+
 	// INRP pooling state, recomputed at every allocation.
 	grantsFor     []float64 // per arc: overflow successfully detoured
+	grantsPrev    []float64 // per arc: the grants a pooling round entered with
 	detourLoad    []float64 // per arc: detour traffic landed on it
 	extraWeighted []float64 // per arc: Σ grant rate × extra hops
 	detourRate    float64   // bits/s currently travelling via detours
@@ -236,6 +249,9 @@ type runner struct {
 	classHopsExp []float64     // per class: expected hops incl. detours
 	cands        congestedList // saturated-arc candidates of a round
 	grantRecs    []grantRec    // detour grants of the current plan
+	arcBits      []uint64      // per arc: scratch bitset of scanned arcs
+	scanArcs     []int32       // allocateINRP: weighted ∪ zeroCap, ascending
+	feasArcs     []int32       // enforceFeasibility: scan ∪ donor arcs
 
 	// Completion-heap state (heap.go): the event loop finds the next
 	// completion by popping a lazily invalidated min-heap of projected
@@ -261,6 +277,7 @@ type runner struct {
 	// Observability instruments (nil without Config.Obs; updates are then
 	// nil-safe no-ops costing one nil check).
 	mAllocFills   *obs.Counter
+	mClassFills   *obs.Counter
 	mBackpressure *obs.Counter
 	mAdmitted     *obs.Counter
 	mFinished     *obs.Counter
@@ -272,14 +289,20 @@ type runner struct {
 // arcIndex maps a directed arc to its dense index (2×link + direction).
 func arcIndex(a topo.Arc) int32 { return int32(2*int(a.Link) + int(a.Dir)) }
 
+// appendArcs appends the indexes of the bits set in bs to dst, in
+// ascending order.
+func appendArcs(dst []int32, bs []uint64) []int32 {
+	for w, word := range bs {
+		for word != 0 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
 // bitRate converts allocator floats back to the planner's unit type.
 func bitRate(x float64) units.BitRate { return units.BitRate(x) }
-
-// residualAdapter bridges the allocator's float residuals to the core
-// planner's typed ResidualFunc.
-func residualAdapter(f func(topo.Arc) float64) core.ResidualFunc {
-	return func(a topo.Arc) units.BitRate { return units.BitRate(f(a)) }
-}
 
 func (r *runner) init() {
 	links := r.g.NumLinks()
@@ -298,6 +321,7 @@ func (r *runner) init() {
 		r.planner = core.NewPlanner(r.g, r.cfg.Planner)
 	}
 	r.grantsFor = make([]float64, r.nArcs)
+	r.grantsPrev = make([]float64, r.nArcs)
 	r.detourLoad = make([]float64, r.nArcs)
 	r.extraWeighted = make([]float64, r.nArcs)
 	r.arcBusy = make([]float64, r.nArcs)
@@ -309,17 +333,28 @@ func (r *runner) init() {
 	r.fillLoad = make([]float64, r.nArcs)
 	r.fillWeight = make([]int, r.nArcs)
 	r.satSlack = make([]float64, r.nArcs)
-	r.residualFn = residualAdapter(func(b topo.Arc) float64 {
+	words := (r.nArcs + 63) / 64
+	r.arcWeight = make([]int, r.nArcs)
+	r.weighted = make([]uint64, words)
+	r.zeroCap = make([]uint64, words)
+	r.arcBits = make([]uint64, words)
+	for a, c := range r.capBase {
+		if c <= saturationEps(c) {
+			r.zeroCap[a>>6] |= 1 << (a & 63)
+		}
+	}
+	r.residualFn = func(b topo.Arc) units.BitRate {
 		bi := arcIndex(b)
 		res := r.capBase[bi] - r.primaryLoad[bi] - r.detourLoad[bi]
 		if res < 0 {
 			return 0
 		}
-		return res
-	})
+		return units.BitRate(res)
+	}
 	r.res.Policy = r.cfg.Policy
 	if reg := r.cfg.Obs; reg != nil {
 		r.mAllocFills = reg.Counter("flowsim_alloc_fills")
+		r.mClassFills = reg.Counter("flowsim_class_fills")
 		r.mBackpressure = reg.Counter("flowsim_backpressure_events")
 		r.mAdmitted = reg.Counter("flowsim_flows_admitted")
 		r.mFinished = reg.Counter("flowsim_flows_finished")
@@ -419,10 +454,17 @@ func (r *runner) admit(f workload.Flow, now float64) error {
 	if err != nil {
 		return err
 	}
-	r.classes[class].weight++
-	if r.classes[class].weight == 1 {
+	cl := &r.classes[class]
+	cl.weight++
+	if cl.weight == 1 {
 		r.classPos[class] = int32(len(r.liveClasses))
 		r.liveClasses = append(r.liveClasses, class)
+	}
+	for _, a := range cl.arcs {
+		r.arcWeight[a]++
+		if r.arcWeight[a] == 1 {
+			r.weighted[a>>6] |= 1 << (a & 63)
+		}
 	}
 	s := r.allocSlot()
 	r.slotID[s] = f.ID
@@ -595,6 +637,12 @@ func (r *runner) run() (*Result, error) {
 // class front; test drivers finishing arbitrary flows skip it).
 func (r *runner) finishSlot(s int32, now float64) {
 	c := r.slotClass[s]
+	for _, a := range r.classes[c].arcs {
+		r.arcWeight[a]--
+		if r.arcWeight[a] == 0 {
+			r.weighted[a>>6] &^= 1 << (a & 63)
+		}
+	}
 	r.classes[c].weight--
 	if r.classes[c].weight == 0 {
 		// The class dies: drop it from the live list (swap-remove) and

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -263,5 +265,33 @@ func TestPolicyString(t *testing.T) {
 	}
 	if Policy(9).String() != "Policy(9)" {
 		t.Error("unknown policy should be explicit")
+	}
+}
+
+// TestAllocateAllocFree pins the allocator's steady state: once its
+// scratch has grown, an SP or INRP allocation (pooling rounds, fixpoint
+// exit, scan sets, feasibility pass, live counters) allocates nothing.
+func TestAllocateAllocFree(t *testing.T) {
+	g := topo.MustBuildISP(topo.Exodus)
+	g.SetAllCapacities(150 * units.Mbps)
+	flows := workload.Generate(workload.Spec{
+		Arrivals: workload.NewPoisson(50, 1),
+		Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, 2),
+		Matrix:   workload.NewGravity(g, 3),
+		Count:    400,
+	})
+	for _, pol := range []Policy{SP, INRP} {
+		r := &runner{cfg: Config{Graph: g, Policy: pol, PoolingRounds: 4,
+			Planner: core.DefaultPlannerConfig(), Obs: obs.New("alloc-free")}, g: g}
+		r.init()
+		for _, f := range flows {
+			if err := r.admit(f, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.allocateClasses() // grow the scratch and fill the planner cache
+		if allocs := testing.AllocsPerRun(20, func() { r.allocateClasses() }); allocs != 0 {
+			t.Errorf("%v: allocateClasses allocates %v times per call, want 0", pol, allocs)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func TestCompletionHeapEqualKeysFIFO(t *testing.T) {
 // remaining-bits order.
 func TestMemberHeapPopsAscendingRemaining(t *testing.T) {
 	g := topo.Line(3)
-	r := newTestRunner(t, g, SP, 0)
+	r := newTestRunner(t, g, SP, 0, 4)
 	rng := rand.New(rand.NewSource(11))
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestMemberHeapPopsAscendingRemaining(t *testing.T) {
 // and nextCompletion always returns the exact fresh projection.
 func TestCompletionGenerationInvalidation(t *testing.T) {
 	g := topo.Line(3)
-	r := newTestRunner(t, g, SP, 0)
+	r := newTestRunner(t, g, SP, 0, 4)
 	mustAdmit := func(f workload.Flow, now float64) {
 		t.Helper()
 		if err := r.admit(f, now); err != nil {

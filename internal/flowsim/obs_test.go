@@ -49,8 +49,14 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 	if got := snap.Counters["flowsim_flows_finished"]; got != int64(instrumented.Completed) {
 		t.Errorf("finished = %d, want %d", got, instrumented.Completed)
 	}
-	if snap.Counters["flowsim_alloc_fills"] == 0 {
+	allocs := snap.Counters["flowsim_alloc_fills"]
+	if allocs == 0 {
 		t.Error("allocator fills never counted")
+	}
+	// Every INRP allocation fills at least once and at most once per
+	// pooling round (the default 4); the fixpoint exit saves the rest.
+	if fills := snap.Counters["flowsim_class_fills"]; fills < allocs || fills > 4*allocs {
+		t.Errorf("class fills = %d, want between %d and %d", fills, allocs, 4*allocs)
 	}
 	if got := snap.Gauges["flowsim_flows_active"]; got != 0 {
 		t.Errorf("final active gauge = %d, want 0", got)
