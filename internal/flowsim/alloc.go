@@ -89,8 +89,8 @@ func (l congestedList) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
 // final feasibility pass.
 //
 // Two shortcuts skip work whose result is already known, and both leave
-// every output bit unchanged (the all-rounds loop is kept as the oracle
-// allocateINRPAllRounds in equivalence_test.go):
+// every output bit unchanged (the per-flow reference allocateINRPRef in
+// equivalence_test.go runs every round over every arc and is the oracle):
 //
 //   - Per-arc sweeps walk scanArcs — the weighted arcs plus the
 //     zero-capacity ones, ascending — instead of all nArcs arcs. Every
@@ -299,12 +299,12 @@ func (r *runner) cutOverloads(arcs []int32, classRate, primaryLoad []float64) bo
 		if worst < 0 {
 			return true
 		}
-		r.res.Backpressured++
-		r.mBackpressure.Inc()
 		if primaryLoad[worst] <= 0 {
 			// Excess comes entirely from landed detours: donors were
 			// over-granted. Shrink the grants landing on this arc
 			// proportionally and re-evaluate.
+			r.res.Backpressured++
+			r.mBackpressure.Inc()
 			if !r.shrinkGrants(worst, worstExcess) {
 				return false
 			}
@@ -314,6 +314,7 @@ func (r *runner) cutOverloads(arcs []int32, classRate, primaryLoad []float64) bo
 		if factor < 0 {
 			factor = 0
 		}
+		sending := false
 		for _, c := range r.liveClasses {
 			cl := &r.classes[c]
 			r.classCut[c] = 0
@@ -323,10 +324,22 @@ func (r *runner) cutOverloads(arcs []int32, classRate, primaryLoad []float64) bo
 			if !pathHasArc(cl.arcs, int32(worst)) {
 				continue
 			}
+			sending = true
 			cut := classRate[c] * (1 - factor)
 			classRate[c] -= cut
 			r.classCut[c] = cut
 		}
+		if !sending {
+			// No flow crossing the arc sends any more, so its primary
+			// load is rounding residue of earlier cuts, which no cut can
+			// remove; its true load is exactly 0. Only blind planning
+			// meets this: its petabit grants let flows fill to ~1e15
+			// bits/s, and cutting them back leaves ulps of 1e15 behind.
+			primaryLoad[worst] = 0
+			continue
+		}
+		r.res.Backpressured++
+		r.mBackpressure.Inc()
 		for _, s := range r.activeOrder {
 			c := r.slotClass[s]
 			cut := r.classCut[c]

@@ -22,17 +22,17 @@ import (
 // class-based path gained. The property tests drive both allocators over
 // random graphs and workloads — elastic and demand-capped, SP and INRP
 // with pooling rounds, across admit/finish churn — and require
-// bit-identical rates, expected hops and back-pressure counts.
+// bit-identical rates, expected hops and back-pressure counts. The
+// reference runs every pooling round and scans every arc, so it is also
+// the oracle for allocateINRP's fixpoint exit and narrowed sweeps.
 //
 // It also retains the scan-based event loop as runRef: the oracle for
 // the completion-heap loop in run(). TestRunHeapVsScanEquivalence
 // requires the two loops to produce DeepEqual Results — every float in
 // every field — over random graphs, workloads and policies.
 //
-// And it keeps the class-based all-rounds pooling loop as
-// allocateINRPAllRounds: the oracle for allocateINRP's fixpoint exit and
-// scan-set sweeps (TestFixpointExitMatchesAllRounds). Every driver also
-// checks the feasibility invariant after every allocation.
+// Every driver also checks the feasibility invariant after every
+// allocation.
 
 // allocateRef is the retained per-flow reference allocator.
 func (r *runner) allocateRef() (rates []float64, hopsExp []float64) {
@@ -186,8 +186,8 @@ func (r *runner) cutOverloadsRef(paths [][]int32, rates, primaryLoad []float64) 
 		if worst < 0 {
 			return true
 		}
-		r.res.Backpressured++
 		if primaryLoad[worst] <= 0 {
+			r.res.Backpressured++
 			if !r.shrinkGrants(worst, worstExcess) {
 				return false
 			}
@@ -197,6 +197,7 @@ func (r *runner) cutOverloadsRef(paths [][]int32, rates, primaryLoad []float64) 
 		if factor < 0 {
 			factor = 0
 		}
+		sending := false
 		for i, p := range paths {
 			onArc := false
 			for _, a := range p {
@@ -208,160 +209,34 @@ func (r *runner) cutOverloadsRef(paths [][]int32, rates, primaryLoad []float64) 
 			if !onArc {
 				continue
 			}
+			sending = sending || rates[i] > 0
 			cut := rates[i] * (1 - factor)
 			rates[i] -= cut
 			for _, a := range p {
 				primaryLoad[a] -= cut
 			}
 		}
+		if !sending {
+			primaryLoad[worst] = 0
+			continue
+		}
+		r.res.Backpressured++
 	}
 	return false
-}
-
-// allocateAllRounds is allocate with the INRP pooling loop replaced by
-// allocateINRPAllRounds: the oracle for the fixpoint exit and the
-// scan-set sweeps of allocateINRP.
-func (r *runner) allocateAllRounds() (rates []float64, hopsExp []float64) {
-	var classRate []float64
-	if r.cfg.Policy != INRP {
-		r.detourRate = 0
-		classRate = r.classFill(r.capBase)
-		for _, c := range r.liveClasses {
-			r.classHopsExp[c] = r.classes[c].hops
-		}
-	} else {
-		classRate = r.allocateINRPAllRounds()
-	}
-	rates = make([]float64, len(r.activeOrder))
-	hopsExp = make([]float64, len(r.activeOrder))
-	for i, s := range r.activeOrder {
-		rates[i] = classRate[r.slotClass[s]]
-		hopsExp[i] = r.classHopsExp[r.slotClass[s]]
-	}
-	return rates, hopsExp
-}
-
-// allocateINRPAllRounds is the class-based pooling loop as it was before
-// the fixpoint exit: every round fills, plans and sweeps all nArcs arcs,
-// however many rounds repeat the previous one.
-func (r *runner) allocateINRPAllRounds() []float64 {
-	n := r.nArcs
-	zero(r.grantsFor)
-	zero(r.detourLoad)
-	zero(r.extraWeighted)
-	r.grantRecs = r.grantRecs[:0]
-
-	capEff := r.capEff
-	primaryLoad := r.primaryLoad
-	var classRate []float64
-
-	for round := 0; round < r.cfg.PoolingRounds; round++ {
-		final := round == r.cfg.PoolingRounds-1
-
-		// Effective capacity for primary filling: the arc's own rate plus
-		// whatever overflow it may ship over detours. Donor arcs keep their
-		// full rate for primary traffic — pooling uses spare capacity only
-		// (§3.3: forward toward the detour "exactly as much traffic as this
-		// detour path can accommodate").
-		for a := 0; a < n; a++ {
-			capEff[a] = r.capBase[a] + r.grantsFor[a]
-		}
-		classRate = r.classFill(capEff)
-
-		// Per-arc primary load. Accumulated flow-by-flow in admission
-		// order — not class×weight products — so the float summation
-		// order matches the per-flow reference bit for bit.
-		zero(primaryLoad)
-		for _, s := range r.activeOrder {
-			c := r.slotClass[s]
-			cr := classRate[c]
-			for _, a := range r.classes[c].arcs {
-				primaryLoad[a] += cr
-			}
-		}
-
-		// Re-plan every saturated arc's detours from scratch against the
-		// new loads. Actually-overloaded arcs are served first; merely
-		// saturated arcs get optimistic grants (in non-final rounds) so
-		// their frozen flows can grow into pooled capacity next round. The
-		// final round plans only real overflow, keeping the metrics honest.
-		cands := r.cands[:0]
-		for a := 0; a < n; a++ {
-			over := primaryLoad[a] - r.capBase[a]
-			saturated := r.capBase[a]-primaryLoad[a] <= saturationEps(r.capBase[a])
-			if over > saturationEps(r.capBase[a]) || (!final && saturated) {
-				cands = append(cands, congested{arc: a, over: over})
-			}
-		}
-		r.cands = cands
-		sort.Sort(&r.cands)
-
-		zero(r.grantsFor)
-		zero(r.detourLoad)
-		zero(r.extraWeighted)
-		r.grantRecs = r.grantRecs[:0]
-		for _, c := range r.cands {
-			req := primaryLoad[c.arc] + r.detourLoad[c.arc] - r.capBase[c.arc]
-			if !final {
-				// Optimistic: take whatever the detours can spare; the
-				// planner caps the request by donor residuals.
-				req = optimisticOverflow
-			}
-			if req <= 0 {
-				continue
-			}
-			a := c.arc
-			grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), r.residualFn)
-			for _, gr := range grants {
-				rate := float64(gr.Rate)
-				r.grantsFor[a] += rate
-				r.extraWeighted[a] += rate * float64(gr.Sub.Extra)
-				for _, b := range gr.Arcs {
-					r.detourLoad[arcIndex(b)] += rate
-				}
-				r.grantRecs = append(r.grantRecs, grantRec{
-					src: a, rate: rate, extra: float64(gr.Sub.Extra), arcs: gr.Arcs,
-				})
-			}
-		}
-	}
-
-	// Final feasibility (back-pressure) pass: any arc whose direct traffic
-	// plus landed detour traffic still exceeds capacity caps the flows
-	// crossing it. Grants are consistent with the final loads by
-	// construction, so violations only stem from unplaced overflow.
-	r.enforceFeasibility(classRate, primaryLoad)
-
-	// Stretch expectation and aggregate detour rate from the final plan.
-	r.detourRate = 0
-	for a := 0; a < r.nArcs; a++ {
-		r.detourRate += r.grantsFor[a]
-	}
-	for _, c := range r.liveClasses {
-		cl := &r.classes[c]
-		extra := 0.0
-		for _, a := range cl.arcs {
-			if r.grantsFor[a] <= 0 || primaryLoad[a] <= 0 {
-				continue
-			}
-			phi := r.grantsFor[a] / primaryLoad[a]
-			if phi > 1 {
-				phi = 1
-			}
-			extra += phi * (r.extraWeighted[a] / r.grantsFor[a])
-		}
-		r.classExtra[c] = extra
-		r.classHopsExp[c] = cl.hops + extra
-	}
-	return classRate
 }
 
 // checkFeasible asserts the allocator's feasibility invariant on the
 // allocation just made: on every arc, the direct primary traffic plus
 // the detour traffic landed on it stays within capacity — the condition
-// enforceFeasibility establishes. Loads are recomputed from the per-flow
-// rates, and every arc is checked, not only the ones the allocator's
-// narrowed scans visit.
+// enforceFeasibility establishes. Every arc is checked, not only the
+// ones the allocator's narrowed scans visit.
+//
+// For INRP the invariant is checked on the allocator's own bookkeeping
+// (primaryLoad less grantsFor plus detourLoad), and on loads recomputed
+// from the per-flow rates. Under blind planning only the bookkeeping is
+// held to the bound: blind grants are petabit-scale, flows fill into
+// them, and the cuts that bring them back leave primaryLoad a few ulps
+// of 1e15 (about 0.1 bits/s) away from the sum of the cut rates.
 func checkFeasible(t *testing.T, trial int, r *runner, rates []float64) {
 	t.Helper()
 	load := make([]float64, r.nArcs)
@@ -370,12 +245,25 @@ func checkFeasible(t *testing.T, trial int, r *runner, rates []float64) {
 			load[a] += rates[i]
 		}
 	}
-	for a, l := range load {
-		if r.cfg.Policy == INRP {
+	inrp := r.cfg.Policy == INRP
+	blind := r.cfg.Planner.Mode == core.Blind
+	for a := range load {
+		limit := r.capBase[a] + saturationEps(r.capBase[a]) + 1e-9
+		if inrp {
+			if l := r.primaryLoad[a] - r.grantsFor[a] + r.detourLoad[a]; l > limit {
+				t.Fatalf("trial %d: INRP arc %d carries %v over capacity %v (primary %v, grants %v, landed detours %v)",
+					trial, a, l, r.capBase[a], r.primaryLoad[a], r.grantsFor[a], r.detourLoad[a])
+			}
+			if blind {
+				continue
+			}
+		}
+		l := load[a]
+		if inrp {
 			l += r.detourLoad[a] - r.grantsFor[a]
 		}
-		if limit := r.capBase[a] + saturationEps(r.capBase[a]) + 1e-9; l > limit {
-			t.Fatalf("trial %d: %v arc %d carries %v over capacity %v (grants %v, landed detours %v)",
+		if l > limit {
+			t.Fatalf("trial %d: %v arc %d carries %v (from rates) over capacity %v (grants %v, landed detours %v)",
 				trial, r.cfg.Policy, a, l, r.capBase[a], r.grantsFor[a], r.detourLoad[a])
 		}
 	}
@@ -411,15 +299,15 @@ func randomGraph(rng *rand.Rand) *topo.Graph {
 	return g
 }
 
-// checkEqual requires two float slices to hold bit-identical values
-// (math.Float64bits, so −0 ≠ +0 and NaN = NaN).
+// checkEqual requires two float slices to hold equal, bit-identical
+// values: −0 ≠ +0 (math.Float64bits), and a NaN on either side fails.
 func checkEqual(t *testing.T, trial int, what string, ref, got []float64) {
 	t.Helper()
 	if len(ref) != len(got) {
 		t.Fatalf("trial %d: %s length %d vs %d", trial, what, len(ref), len(got))
 	}
 	for i := range ref {
-		if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+		if ref[i] != got[i] || math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("trial %d: %s[%d] differs: reference %v, got %v (Δ=%g)",
 				trial, what, i, ref[i], got[i], got[i]-ref[i])
 		}
@@ -428,9 +316,18 @@ func checkEqual(t *testing.T, trial int, what string, ref, got []float64) {
 
 // driveEquivalence admits a random workload in arrival order, invoking
 // both allocators after every admit batch and after random finishes, and
-// requires bit-identical outputs throughout.
-func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow, rng *rand.Rand) {
+// requires bit-identical outputs throughout: per-flow rates and expected
+// hops, Backpressured, detourRate and, for INRP, the final plan's
+// grantsFor and detourLoad. It checks feasibility after every
+// allocation. Class fills per allocation tell how the class-based
+// pooling loop ended; with two or more rounds, driveEquivalence counts
+// the INRP allocations that stopped at a fixpoint reached in round 0
+// (one fill) and those that never reached one (a fill every round).
+func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow, rng *rand.Rand) (round0, never int) {
 	t.Helper()
+	fills := obs.New("equivalence").Counter("flowsim_class_fills")
+	r.mClassFills = fills
+	rounds := int64(r.cfg.PoolingRounds)
 	next := 0
 	for next < len(flows) || len(r.activeOrder) > 0 {
 		// Admit a batch.
@@ -453,19 +350,31 @@ func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow,
 		// the comparison honest against scratch reuse.
 		refRates = append([]float64(nil), refRates...)
 		refHops = append([]float64(nil), refHops...)
+		refGrants := append([]float64(nil), r.grantsFor...)
+		refDetourLoad := append([]float64(nil), r.detourLoad...)
 
 		r.res.Backpressured = bp
+		before := fills.Value()
 		rates, hops := r.allocate()
+		n := fills.Value() - before
 		gotBP := r.res.Backpressured - bp
 
 		checkEqual(t, trial, "rates", refRates, rates)
 		checkEqual(t, trial, "hopsExp", refHops, hops)
+		checkEqual(t, trial, "detourRate", []float64{refDetour}, []float64{r.detourRate})
 		checkFeasible(t, trial, r, rates)
 		if refBP != gotBP {
 			t.Fatalf("trial %d: Backpressured %d (reference) vs %d (class-based)", trial, refBP, gotBP)
 		}
-		if refDetour != r.detourRate {
-			t.Fatalf("trial %d: detourRate %v vs %v", trial, refDetour, r.detourRate)
+		if r.cfg.Policy == INRP {
+			checkEqual(t, trial, "grantsFor", refGrants, r.grantsFor)
+			checkEqual(t, trial, "detourLoad", refDetourLoad, r.detourLoad)
+			if rounds >= 2 && n == 1 {
+				round0++
+			}
+			if rounds >= 2 && n == rounds {
+				never++
+			}
 		}
 
 		// Finish a random subset, exercising incremental class membership
@@ -489,136 +398,39 @@ func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow,
 			r.activeOrder = r.activeOrder[:0]
 		}
 	}
+	return round0, never
 }
 
 // TestClassAllocatorEquivalence is the tentpole property test: on random
 // graphs and workloads, the class-based allocator must produce
-// bit-identical rates and expected hops to the retained per-flow
-// reference — elastic and demand-capped, for all three policies.
+// bit-identical results to the retained per-flow reference — elastic and
+// demand-capped, SP/ECMP/INRP with 1–6 pooling rounds, capacity-aware
+// and blind planning (blind planning over-grants and forces
+// back-pressure), generous capacities that leave nothing to pool, and
+// zero-capacity links. The reference runs every round over every arc, so
+// this also checks allocateINRP's fixpoint exit and narrowed sweeps, and
+// both ends of the exit must actually occur: allocations that converge
+// in round 0, and allocations that never converge.
 func TestClassAllocatorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	trials := 60
+	trials := 120
 	if testing.Short() {
-		trials = 12
+		trials = 30
 	}
+	var round0, never int
 	for trial := 0; trial < trials; trial++ {
 		g := randomGraph(rng)
-		pol := []Policy{SP, ECMP, INRP}[rng.Intn(3)]
-		var cap units.BitRate
-		if rng.Intn(2) == 0 {
-			cap = units.BitRate(20+rng.Intn(100)) * units.Mbps
-		}
-		r := newTestRunner(t, g, pol, cap, 4)
-		flows := workload.Generate(workload.Spec{
-			Arrivals: workload.NewPoisson(20, rng.Int63()),
-			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
-			Matrix:   workload.NewGravity(g, rng.Int63()),
-			Count:    10 + rng.Intn(40),
-		})
-		driveEquivalence(t, trial, r, flows, rng)
-	}
-}
-
-// fixpointStats counts the INRP allocations (with at least two pooling
-// rounds) that stopped at a fixpoint reached in round 0, and those that
-// reached no fixpoint at all and ran every round.
-type fixpointStats struct{ round0, never int }
-
-// finishMasked finishes the flows at the masked activeOrder positions.
-func finishMasked(r *runner, drop []bool) {
-	kept := r.activeOrder[:0]
-	for i, s := range r.activeOrder {
-		if drop[i] {
-			r.finishSlot(s, r.slotArrival[s]+1)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	r.activeOrder = kept
-}
-
-// driveAllRounds admits and finishes a random workload on two runners
-// built from the same config: ref allocates with the all-rounds oracle,
-// got with the production allocator. After every allocation it requires
-// bit-equal per-flow rates and expected hops, detourRate, Backpressured,
-// grantsFor and detourLoad, and checks feasibility. Class fills per
-// allocation tell how the production loop ended: one fill means a
-// fixpoint in round 0, PoolingRounds fills mean none was reached.
-func driveAllRounds(t *testing.T, trial int, ref, got *runner, flows []workload.Flow, rng *rand.Rand, st *fixpointStats) {
-	t.Helper()
-	fills := obs.New("fixpoint").Counter("flowsim_class_fills")
-	got.mClassFills = fills
-	rounds := int64(got.cfg.PoolingRounds)
-	next := 0
-	for next < len(flows) || len(got.activeOrder) > 0 {
-		for batch := 1 + rng.Intn(4); batch > 0 && next < len(flows); next++ {
-			f := flows[next]
-			errRef := ref.admit(f, f.Arrival.Seconds())
-			errGot := got.admit(f, f.Arrival.Seconds())
-			if (errRef == nil) != (errGot == nil) {
-				t.Fatalf("trial %d: admit errors differ: %v vs %v", trial, errRef, errGot)
-			}
-			if errGot == nil {
-				batch--
-			}
-		}
-
-		refRates, refHops := ref.allocateAllRounds()
-		before := fills.Value()
-		rates, hops := got.allocate()
-		n := fills.Value() - before
-
-		checkEqual(t, trial, "rates", refRates, rates)
-		checkEqual(t, trial, "hopsExp", refHops, hops)
-		checkEqual(t, trial, "detourRate", []float64{ref.detourRate}, []float64{got.detourRate})
-		if ref.res.Backpressured != got.res.Backpressured {
-			t.Fatalf("trial %d: Backpressured %d (all rounds) vs %d (fixpoint exit)",
-				trial, ref.res.Backpressured, got.res.Backpressured)
-		}
-		if got.cfg.Policy == INRP {
-			checkEqual(t, trial, "grantsFor", ref.grantsFor, got.grantsFor)
-			checkEqual(t, trial, "detourLoad", ref.detourLoad, got.detourLoad)
-			if rounds >= 2 && n == 1 {
-				st.round0++
-			}
-			if rounds >= 2 && n == rounds {
-				st.never++
-			}
-		}
-		checkFeasible(t, trial, got, rates)
-
-		drain := next >= len(flows)
-		if drain || rng.Intn(2) == 0 {
-			drop := make([]bool, len(got.activeOrder))
-			for i := range drop {
-				drop[i] = drain || rng.Intn(3) == 0
-			}
-			finishMasked(ref, drop)
-			finishMasked(got, drop)
-		}
-	}
-}
-
-// TestFixpointExitMatchesAllRounds is the property test for
-// allocateINRP's fixpoint exit and scan-set sweeps: over random graphs
-// and workloads, SP/ECMP/INRP, 1–6 pooling rounds, elastic and capped
-// demand, capacity-aware and blind planning (blind planning over-grants
-// and forces back-pressure), and generous capacities that leave nothing
-// to pool, the production allocator must match the all-rounds oracle bit
-// for bit after every allocation. Both ends of the fixpoint exit must
-// actually occur: allocations that converge in round 0, and allocations
-// that never converge.
-func TestFixpointExitMatchesAllRounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	trials := 80
-	if testing.Short() {
-		trials = 20
-	}
-	var st fixpointStats
-	for trial := 0; trial < trials; trial++ {
-		g := randomGraph(rng)
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			g.SetAllCapacities(100 * units.Gbps)
+		case 1:
+			// Zero-capacity arcs are saturated with or without traffic,
+			// so non-final rounds plan detours for them even when no
+			// flow crosses them.
+			links := g.Links()
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				links[rng.Intn(len(links))].Capacity = 0
+			}
 		}
 		cfg := Config{
 			Graph:         g,
@@ -632,22 +444,56 @@ func TestFixpointExitMatchesAllRounds(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.DemandCap = units.BitRate(20+rng.Intn(100)) * units.Mbps
 		}
-		mk := func() *runner {
-			r := &runner{cfg: cfg, g: g}
-			r.init()
-			return r
-		}
+		r := &runner{cfg: cfg, g: g}
+		r.init()
 		flows := workload.Generate(workload.Spec{
 			Arrivals: workload.NewPoisson(20, rng.Int63()),
 			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
 			Matrix:   workload.NewGravity(g, rng.Int63()),
 			Count:    10 + rng.Intn(40),
 		})
-		driveAllRounds(t, trial, mk(), mk(), flows, rng, &st)
+		r0, nv := driveEquivalence(t, trial, r, flows, rng)
+		round0 += r0
+		never += nv
 	}
-	t.Logf("INRP allocations converged in round 0: %d, never converged: %d", st.round0, st.never)
-	if st.round0 == 0 || st.never == 0 {
-		t.Fatalf("fixpoint exit cases not reached: round 0 %d, never %d", st.round0, st.never)
+	t.Logf("INRP allocations converged in round 0: %d, never converged: %d", round0, never)
+	if round0 == 0 || never == 0 {
+		t.Fatalf("fixpoint exit cases not reached: round 0 %d, never %d", round0, never)
+	}
+}
+
+// TestIdleZeroCapacityArcPlanned pins why allocateINRP's scan set holds
+// the zero-capacity arcs as well as the weighted ones. A zero-capacity
+// arc is saturated with or without traffic, so a non-final round plans
+// an optimistic detour for it even when no flow crosses it, and that
+// grant takes donor capacity a later candidate would have had. Here the
+// idle A→B sorts before the saturated A→D (equal overflow 0, lower arc
+// index) and takes the spare A→C that A→D's only detour needs, so the
+// A→D flow must stay at the link's 100 Mbps, as the per-flow reference
+// has it. Links: A–B at 0, and A–C, C–B, A–D, C–D at 100 Mbps.
+func TestIdleZeroCapacityArcPlanned(t *testing.T) {
+	g := topo.New("idle-zero-capacity")
+	g.AddNodes(4)
+	const a, b, c, d = 0, 1, 2, 3
+	g.MustAddLink(a, b, 0, time.Millisecond)
+	g.MustAddLink(a, c, 100*units.Mbps, time.Millisecond)
+	g.MustAddLink(c, b, 100*units.Mbps, time.Millisecond)
+	g.MustAddLink(a, d, 100*units.Mbps, time.Millisecond)
+	g.MustAddLink(c, d, 100*units.Mbps, time.Millisecond)
+	cfg := Config{Graph: g, Policy: INRP, PoolingRounds: 4, Planner: core.DefaultPlannerConfig()}
+	r := &runner{cfg: cfg, g: g}
+	r.init()
+	if err := r.admit(workload.Flow{ID: 0, Src: a, Dst: d, Size: units.MB}, 0); err != nil {
+		t.Fatal(err)
+	}
+	refRates, refHops := r.allocateRef()
+	refRates = append([]float64(nil), refRates...)
+	refHops = append([]float64(nil), refHops...)
+	rates, hops := r.allocate()
+	checkEqual(t, 0, "rates", refRates, rates)
+	checkEqual(t, 0, "hopsExp", refHops, hops)
+	if want := float64(100 * units.Mbps); rates[0] != want {
+		t.Fatalf("A→D rate %v, want %v", rates[0], want)
 	}
 }
 

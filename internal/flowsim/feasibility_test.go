@@ -176,3 +176,36 @@ func TestEnforceFeasibilityBlindOvergrant(t *testing.T) {
 	}
 	checkFeasible(t, 0, r, rates)
 }
+
+// TestEnforceFeasibilityIdleResidue is the regression test for primary
+// load left as rounding residue on an arc whose flows no longer send.
+// Cutting flows that blind planning inflated to ~1e15 bits/s back down
+// can leave a few ulps of 1e15 on a zero-capacity arc; no cut can remove
+// that, so the passes used to spin on the arc until they ran out,
+// counting a back-pressure event each time, then withdraw every grant
+// and spin again. The pass must instead zero the residue and end
+// feasible without a back-pressure event.
+func TestEnforceFeasibilityIdleResidue(t *testing.T) {
+	g := detourOnlyGraph()
+	g.Links()[0].Capacity = 0 // S–T
+	cfg := Config{Graph: g, Policy: INRP, PoolingRounds: 1, Planner: core.DefaultPlannerConfig()}
+	r := &runner{cfg: cfg, g: g}
+	r.init()
+	if err := r.admit(workload.Flow{ID: 0, Src: 0, Dst: 1, Size: units.MB}, 0); err != nil {
+		t.Fatal(err)
+	}
+	a := r.classes[r.slotClass[r.activeOrder[0]]].arcs[0]
+	if r.capBase[a] != 0 {
+		t.Fatalf("flow does not cross the zero-capacity link (arc %d capacity %v)", a, r.capBase[a])
+	}
+	classRate := make([]float64, len(r.classes)) // every flow already cut to 0
+	r.primaryLoad[a] = 0.125                     // one ulp of 1e15
+
+	r.enforceFeasibility(classRate, r.primaryLoad)
+	if r.res.Backpressured != 0 {
+		t.Fatalf("Backpressured = %d, want 0: residue is not overload", r.res.Backpressured)
+	}
+	if r.primaryLoad[a] != 0 {
+		t.Fatalf("primaryLoad[%d] = %v, want the residue zeroed", a, r.primaryLoad[a])
+	}
+}

@@ -8,7 +8,7 @@
 # into a git worktree under a temporary directory and benchmarked there
 # with its own perfbench/run.sh, so each side builds from its own source.
 # Without HEAD the working tree is the head side, uncommitted changes
-# included. The script runs N pairs (default 5) of untraced runs of S
+# included. The script runs N pairs (default 10) of untraced runs of S
 # seconds each (default 20), alternating which side runs first, and
 # prints, for every end-to-end metric in BENCHMARK.json:
 #
@@ -16,8 +16,11 @@
 #   - the change of the head median against the base median,
 #   - k/N: the pairs in which head beat base (the metric's "better"
 #     direction comes from BENCHMARK.json),
-#   - a verdict: "better" or "worse" when the two IQRs do not overlap,
-#     "unresolved" when they do or when fewer than 3 pairs ran.
+#   - a verdict, by the rule a claimed gain must meet: "better" when
+#     head won at least 0.9·N pairs and its median is further from the
+#     base median than the base IQR (q3 − q1) is wide; "worse" when base
+#     won at least 0.9·N pairs by the same margin; "unresolved"
+#     otherwise, and always when fewer than 10 pairs ran.
 #
 # A run whose checks fail (correct=false or failed>0) is reported and
 # makes the script exit non-zero. Run from anywhere inside the
@@ -30,7 +33,7 @@ usage() {
     exit 2
 }
 
-base="" head="" workload="" pairs=5 seconds=20 seed=1
+base="" head="" workload="" pairs=10 seconds=20 seed=1
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="${2:?}"; shift 2 ;;
@@ -135,7 +138,7 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
     on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' "$root/BENCHMARK.json" |
 while read -r name better; do
-    wins=0
+    wins=0 losses=0
     : >"$tmp/base.vals"; : >"$tmp/head.vals"
     for i in $(seq 1 "$pairs"); do
         b=$(metric "$tmp/base.$i.json" "$name")
@@ -143,15 +146,21 @@ while read -r name better; do
         echo "$b" >>"$tmp/base.vals"; echo "$h" >>"$tmp/head.vals"
         wins=$((wins + $(awk -v b="$b" -v h="$h" -v d="$better" \
             'BEGIN { b += 0; h += 0; print (d == "lower" ? h < b : h > b) ? 1 : 0 }')))
+        losses=$((losses + $(awk -v b="$b" -v h="$h" -v d="$better" \
+            'BEGIN { b += 0; h += 0; print (d == "lower" ? h > b : h < b) ? 1 : 0 }')))
     done
     read -r bm bq1 bq3 < <(quartiles <"$tmp/base.vals")
     read -r hm hq1 hq3 < <(quartiles <"$tmp/head.vals")
-    awk -v n="$name" -v d="$better" -v w="$wins/$pairs" -v pairs="$pairs" \
+    awk -v n="$name" -v wins="$wins" -v losses="$losses" -v pairs="$pairs" \
         -v bm="$bm" -v bq1="$bq1" -v bq3="$bq3" -v hm="$hm" -v hq1="$hq1" -v hq3="$hq3" 'BEGIN {
-        bm += 0; bq1 += 0; bq3 += 0; hm += 0; hq1 += 0; hq3 += 0; pairs += 0
+        bm += 0; bq1 += 0; bq3 += 0; hm += 0; hq1 += 0; hq3 += 0
         change = bm == 0 ? "n/a" : sprintf("%+.1f%%", 100 * (hm - bm) / bm)
-        if (pairs < 3 || (hq1 <= bq3 && bq1 <= hq3)) verdict = "unresolved"
-        else verdict = ((d == "lower") == (hm < bm)) ? "better" : "worse"
+        gap = hm - bm; if (gap < 0) gap = -gap
+        w = wins "/" pairs; verdict = "unresolved"
+        if (pairs >= 10 && gap > bq3 - bq1) {
+            if (wins >= 0.9 * pairs) verdict = "better"
+            else if (losses >= 0.9 * pairs) verdict = "worse"
+        }
         printf "%-16s %-34s %-34s %8s %6s  %s\n", n,
             sprintf("%.4g (%.4g-%.4g)", bm, bq1, bq3),
             sprintf("%.4g (%.4g-%.4g)", hm, hq1, hq3), change, w, verdict
